@@ -8,7 +8,7 @@ from .degree import (
     graph_response_time,
 )
 from .fixed_point import Interferer, ceil0_hits, solve_busy_window
-from .holistic import legacy_response_time_analysis, response_time_analysis
+from .holistic import response_time_analysis
 from .kernel import AnalysisContext, KernelStats, SolveState
 from .multicluster import MultiClusterResult, multi_cluster_scheduling
 from .sensitivity import ScalingResult, critical_activities, wcet_scaling_margin
@@ -27,7 +27,6 @@ __all__ = [
     "BufferReport",
     "KernelStats",
     "SolveState",
-    "legacy_response_time_analysis",
     "INFEASIBLE",
     "Interferer",
     "MultiClusterResult",

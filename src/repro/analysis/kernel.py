@@ -1,15 +1,16 @@
 """Compiled analysis kernel: the optimizer hot path of the holistic
 response-time analysis.
 
-:func:`repro.analysis.holistic.legacy_response_time_analysis` recompiles
-its full O(n²) interference structure — string-keyed dicts, per-pair
-ancestor queries, relative phases — on **every** call, while the Fig. 5
-multi-cluster loop calls it up to 30 times per evaluation and the
-synthesis heuristics run thousands of evaluations.  Everything but the
-jitters is structurally invariant across those calls (the classic
-observation behind Tindell & Clark's holistic analysis and Palencia &
-Harbour's offset refinement), which is exactly what a compiled kernel
-exploits.
+An interpreted holistic solver (the route-aware oracle
+:func:`repro.analysis.multihop.multihop_response_time_analysis`)
+rebuilds its full O(n²) interference structure — string-keyed dicts,
+per-pair ancestor queries, relative phases — on **every** call, while
+the Fig. 5 multi-cluster loop runs the analysis up to 30 times per
+evaluation and the synthesis heuristics run thousands of evaluations.
+Everything but the jitters is structurally invariant across those calls
+(the classic observation behind Tindell & Clark's holistic analysis and
+Palencia & Harbour's offset refinement), which is exactly what a
+compiled kernel exploits.
 
 :class:`AnalysisContext` splits the work into three tiers:
 
@@ -44,7 +45,7 @@ Warm starts come in two flavours:
   of the same monotone equations — a safe (possibly pessimistic) upper
   bound, never an unsound one.  It is therefore opt-in
   (``multi_cluster_scheduling(warm_start=True)``); the default path is
-  parity-tested bit for bit against the legacy implementation.
+  parity-tested bit for bit against the multi-hop oracle.
 """
 
 from __future__ import annotations
@@ -69,12 +70,10 @@ from ..semantics import (
 )
 from ..system import System
 from .can_analysis import TIE_EPSILON, can_error_term
+from .holistic import _MAX_INNER_ITERATIONS, _MAX_OUTER_ITERATIONS
 from .timing import ActivityTiming, ResponseTimes
 
 __all__ = ["AnalysisContext", "KernelStats", "SolveState"]
-
-_MAX_OUTER_ITERATIONS = 1_000
-_MAX_INNER_ITERATIONS = 50_000
 
 _INF = math.inf
 
@@ -351,7 +350,7 @@ class AnalysisContext:
         """Higher-priority interferer row of CAN message ``i``.
 
         Entries are ``(id, rel, period, cost, locked, ancestor)`` in the
-        legacy iteration order (sorted message names); ``rel`` is filled
+        oracle's iteration order (sorted message names); ``rel`` is filled
         by :meth:`_refresh_offsets` (it depends on ``φ``).
         """
         own = prio[i]
@@ -365,7 +364,7 @@ class AnalysisContext:
         ]
         if self._can_error is not None:
             # Error process interferes with every message regardless of
-            # priority; appended last so the legacy summation order
+            # priority; appended last so the oracle's summation order
             # (real interferers first, error term last) is preserved.
             period, cost, _ = self._can_error
             row.append((len(self.can_msgs), 0.0, period, cost, False, False))
@@ -867,7 +866,7 @@ class AnalysisContext:
                         ahead += hits * cost
                         count += hits
                     # Whole-frame drain bound (repro.semantics): mirrors
-                    # the legacy pass operation for operation.
+                    # the oracle's pass operation for operation.
                     rounds = fifo_drain_rounds(
                         ettt_size[i], ahead, count,
                         gateway_capacity, max_size,
@@ -907,7 +906,7 @@ class AnalysisContext:
 
             # 5. Busy windows of ET processes.  Residency of an
             # interfering process: its whole busy window (snapshot taken
-            # before the sweep, as in the legacy pass).
+            # before the sweep, as in the oracle's pass).
             res_proc = [
                 pw[i] if pw[i] != _INF else horizon
                 for i in range(n_proc)

@@ -1,12 +1,12 @@
 """Holistic response-time analysis over arbitrary routes (multi-hop).
 
-The classic engines (:mod:`repro.analysis.holistic` and the compiled
-:mod:`repro.analysis.kernel`) implement the paper's fixed shape — one
-ETC, one TTC, one gateway — where every CAN-borne message has exactly
-one bus leg and every ET->TT message exactly one FIFO leg.  This module
-is the same holistic fixed point *per leg*: each message contributes one
-analysed activity per :class:`repro.semantics.routing.Leg` of its route,
-and the jitter chain threads the legs together:
+The compiled :mod:`repro.analysis.kernel` implements the paper's fixed
+shape — one ETC, one TTC, one gateway — where every CAN-borne message
+has exactly one bus leg and every ET->TT message exactly one FIFO leg.
+This module is the same holistic fixed point *per leg*: each message
+contributes one analysed activity per
+:class:`repro.semantics.routing.Leg` of its route, and the jitter chain
+threads the legs together:
 
 * source ``can`` leg of an ET-sent message: ``J = r_S - C_S`` (sender
   response minus WCET), exactly the classic rule;
@@ -30,9 +30,12 @@ byte-wise, priority-blind, including ET->ET messages transiting the TT
 cluster (:func:`repro.semantics.fifo_competitors` with a plan).
 
 On the canonical two-cluster topology every rule above degenerates to
-the classic one; the engines still take the pre-compiled fast path
-there, and ``tests/test_topology.py`` pins the equivalence on this
-solver directly.
+the classic one, which makes this solver, run with the default routing
+plan, the single readable oracle of the analysis: the engines take the
+compiled kernel there, and
+``tests/test_kernel_parity.py::TestKernelMatchesOracle`` pins the kernel
+to this solver bit for bit (the only extra records are the per-gateway
+``__gateway_T__@<gw>`` transfer processes).
 """
 
 from __future__ import annotations

@@ -272,8 +272,7 @@ def _session_stats_payload(session: Session) -> dict:
     """The unified ``--stats`` JSON shape of a session-backed command.
 
     One schema (``repro.obs.metrics.stats_snapshot``) across analyze/
-    simulate/conform/explore; the historical ``session_stats`` key stays
-    next to it for one deprecation cycle.
+    simulate/conform/explore.
     """
     from .obs.metrics import stats_snapshot
 
@@ -386,7 +385,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if validation is not None:
             payload["validation"] = validation
         if args.stats:
-            payload["session_stats"] = session.cache_info()._asdict()
             payload["stats"] = _session_stats_payload(session)
         print(json.dumps(payload, indent=2))
         return 0 if run.schedulable else 1
@@ -643,7 +641,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # statistics so dashboards can scrape one payload.
         payload = run_result_to_dict(run)
         if args.stats:
-            payload["session_stats"] = session.cache_info()._asdict()
             payload["stats"] = _session_stats_payload(session)
         print(json.dumps(payload, indent=2))
         if not run.feasible:
@@ -1278,7 +1275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--format", choices=["text", "json"], default="text",
         help="output format (json emits the RunResult record; with "
-             "--stats it gains a session_stats key)",
+             "--stats it gains a repro-stats-v1 stats key)",
     )
     sim.add_argument(
         "--store", default=None,

@@ -19,9 +19,8 @@ histograms; labels are short identity dimensions (``backend``,
 The module also defines the **unified stats snapshot** schema
 (:data:`STATS_FORMAT`, :func:`stats_snapshot`) that ``repro ...
 --stats --format json`` emits across analyze/simulate/conform/explore
-— one shape (``counters`` / ``timings`` / ``derived``) replacing the
-three historical ad-hoc ones, which remain in the payloads as
-deprecation-tolerant aliases.
+— one shape (``counters`` / ``timings`` / ``derived``).  Campaign and
+sweep payloads also carry the report's own ``profile`` mapping.
 """
 
 from __future__ import annotations
@@ -215,9 +214,9 @@ def stats_snapshot(
 
     ``kind`` names the producer (``session`` / ``campaign`` / ``sweep``
     / ``serve``); ``counters`` are monotonic tallies, ``timings`` are
-    seconds, ``derived`` are ratios/rates.  Old ad-hoc keys
-    (``session_stats``, ``profile``) stay in the payloads next to this
-    for one deprecation cycle.
+    seconds, ``derived`` are ratios/rates.  It is the only stats shape
+    of the session-backed commands (analyze/simulate); campaign and
+    sweep payloads keep the report's ``profile`` mapping next to it.
     """
     return {
         "format": STATS_FORMAT,

@@ -52,6 +52,10 @@ SESSION_CACHE_LIMIT = 4
 #: crash-on-startup cannot fork-bomb the host.
 RESPAWN_LIMIT = 16
 
+#: Seconds a forked worker waits on its task queue before checking
+#: whether its parent daemon is still alive.
+ORPHAN_POLL_S = 1.0
+
 
 # -- unit execution (shared by every transport) ------------------------------
 
@@ -128,17 +132,32 @@ def _worker_main(worker_id: str, task_q, result_q) -> None:
     and a worker dying mid-unit would break the pool and lose the unit.
     A unit that raises reports an error result instead of killing the
     worker, so one bad request cannot take the pool down.
+
+    Because the signals are ignored, a worker also watches its parent:
+    when the daemon dies without a shutdown (SIGKILL, OOM) the worker
+    is re-parented, notices within :data:`ORPHAN_POLL_S` and exits
+    instead of blocking on its task queue forever.
     """
+    import os
+    import queue
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    parent = os.getppid()
     # Forked address space inherits the parent's obs buffers; clear them
     # so parent-recorded counters and spans never ship from a worker.
     reset_process()
     sessions: OrderedDict[str, Any] = OrderedDict()
     while True:
-        task = task_q.get()
+        try:
+            task = task_q.get(timeout=ORPHAN_POLL_S)
+        except queue.Empty:
+            if os.getppid() != parent:
+                # Nobody reads the result queue any more: skip the
+                # feeder-thread flush that could block on a full pipe.
+                os._exit(0)
+            continue
         if task is None:
             break
         unit_id, kind, payload = task[:3]

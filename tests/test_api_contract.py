@@ -100,17 +100,3 @@ def test_cache_info_counts_sim_kernel_compiles_and_reuses():
     assert payload["sim_compiles"] == 1
     assert payload["sim_reuses"] == 1
 
-
-def test_deprecated_shims_warn_and_delegate():
-    import repro
-    from helpers import two_node_config, two_node_system
-    from repro.analysis import multi_cluster_scheduling as original
-
-    assert repro.multi_cluster_scheduling is not original
-    system = two_node_system()
-    config = two_node_config()
-    with pytest.warns(DeprecationWarning):
-        result = repro.multi_cluster_scheduling(
-            system, config.bus, config.priorities
-        )
-    assert result.converged

@@ -267,7 +267,7 @@ class TestStatsJson:
         ])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        stats = data["session_stats"]
+        stats = data["stats"]["counters"]
         assert stats["backend_calls"] == 1
         assert {"hits", "misses", "kernel_compiles", "store_hits",
                 "store_writes"} <= set(stats)
@@ -282,7 +282,7 @@ class TestStatsJson:
         assert data["backend"] == "simulation"
         assert data["metadata"]["sim"]["engine"] == "kernel"
         assert data["metadata"]["sim"]["events"] > 0
-        assert data["session_stats"]["sim_compiles"] == 1
+        assert data["stats"]["counters"]["sim_compiles"] == 1
 
     def test_simulate_json_without_stats(
         self, system_file, config_file, capsys
@@ -293,7 +293,7 @@ class TestStatsJson:
         ])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        assert "session_stats" not in data
+        assert "stats" not in data
         assert data["metadata"]["violations"] == 0
 
     def test_conform_stats_json_carries_profile(self, capsys):
@@ -340,21 +340,21 @@ class TestStatsJson:
             "--store", store, "--stats", "--format", "json",
         ]) == 0
         cold = json.loads(capsys.readouterr().out)
-        assert cold["session_stats"]["store_writes"] == 1
+        assert cold["stats"]["counters"]["store_writes"] == 1
         assert main([
             "analyze", str(system_file), str(config_file),
             "--store", store, "--stats", "--format", "json",
         ]) == 0
         warm = json.loads(capsys.readouterr().out)
-        assert warm["session_stats"]["store_hits"] == 1
-        assert warm["session_stats"]["backend_calls"] == 0
-        # The unified snapshot rides next to the legacy key.
-        assert warm["stats"]["format"] == "repro-stats-v1"
         assert warm["stats"]["counters"]["store_hits"] == 1
+        assert warm["stats"]["counters"]["backend_calls"] == 0
+        # The unified snapshot is the only stats shape.
+        assert warm["stats"]["format"] == "repro-stats-v1"
+        assert "session_stats" not in warm
         # Bit-identical record across processes-worth of sessions
-        # (both stats shapes carry wall-times and are stripped).
+        # (the stats snapshot carries wall-times and is stripped).
         for payload in (cold, warm):
-            payload.pop("session_stats"); payload.pop("stats")
+            payload.pop("stats")
         assert cold == warm
 
 

@@ -5,9 +5,10 @@ the holistic analysis, so its entire contract is "same numbers, less
 work".  Three layers of evidence:
 
 * a seeded property test comparing :func:`response_time_analysis` (the
-  kernel wrapper) against :func:`legacy_response_time_analysis` (the
-  pre-kernel implementation, kept verbatim) across random
-  ``generate_workload`` instances — processes, CAN legs, TTP legs and
+  kernel wrapper) against :func:`multihop_response_time_analysis` (the
+  interpreted, route-aware oracle) with the system's default routing
+  plan, across random ``generate_workload`` instances with and without
+  a modeled CAN error process — processes, CAN legs, TTP legs and
   convergence flags must agree bit for bit;
 * an incremental-recompilation test: a kernel dragged through a random
   OptimizeResources-style move sequence (priority swaps, slot resizes,
@@ -23,13 +24,13 @@ import random
 
 import pytest
 
-from repro.analysis.holistic import (
-    legacy_response_time_analysis,
-    response_time_analysis,
-)
+from repro.analysis.holistic import response_time_analysis
 from repro.analysis.kernel import AnalysisContext
 from repro.analysis.multicluster import multi_cluster_scheduling
+from repro.analysis.multihop import multihop_response_time_analysis
 from repro.api import Session
+from repro.faults import FaultSpec
+from repro.model.architecture import GATEWAY_TRANSFER_PROCESS
 from repro.optim import optimize_resources, straightforward_configuration
 from repro.optim.moves import generate_neighbors
 from repro.schedule import static_schedule
@@ -49,10 +50,30 @@ def assert_rho_equal(a, b, tol=0.0, context=""):
     )
 
 
-class TestKernelMatchesLegacyAnalysis:
+def oracle_rta(system, offsets, priorities, bus, faults=None):
+    """The multi-hop oracle on the default plan, in the kernel's shape.
+
+    The oracle also reports one transfer-process record per gateway
+    (``__gateway_T__@<gw>``); those are the only keys the kernel does
+    not emit, so they are checked and dropped here.
+    """
+    rho = multihop_response_time_analysis(
+        system, offsets, priorities, bus, system.routing_for({}),
+        faults=faults,
+    )
+    per_gateway = {
+        f"{GATEWAY_TRANSFER_PROCESS}@{g}" for g in system.arch.gateways()
+    }
+    assert per_gateway <= set(rho.processes)
+    for name in per_gateway:
+        del rho.processes[name]
+    return rho
+
+
+class TestKernelMatchesOracle:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_workloads_bit_identical(self, seed):
-        """Property: kernel == legacy across random workloads.
+        """Property: kernel == oracle across random workloads.
 
         Mixes node counts and utilizations (higher utilization produces
         non-converged activities, exercising the divergence paths).
@@ -64,30 +85,58 @@ class TestKernelMatchesLegacyAnalysis:
         )
         config = straightforward_configuration(system)
         schedule = static_schedule(system, config.bus)
-        legacy = legacy_response_time_analysis(
+        oracle = oracle_rta(
             system, schedule.offsets, config.priorities, config.bus
         )
         kernel = response_time_analysis(
             system, schedule.offsets, config.priorities, config.bus
         )
         assert_rho_equal(
-            legacy, kernel, tol=0.0, context=f"seed={seed}"
+            oracle, kernel, tol=0.0, context=f"seed={seed}"
         )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_multicluster_loop_bit_identical(self, seed):
-        """The Fig. 5 loop on the kernel == the loop on the legacy RTA."""
+        """The Fig. 5 loop on the kernel == the oracle on its offsets."""
         system = generate_workload(WorkloadSpec(nodes=3, seed=seed))
         config = straightforward_configuration(system)
         result = multi_cluster_scheduling(
             system, config.bus, config.priorities
         )
-        # Reference: re-run the solved offsets through the legacy RTA.
-        legacy = legacy_response_time_analysis(
+        # Reference: re-run the solved offsets through the oracle.
+        oracle = oracle_rta(
             system, result.offsets, config.priorities, config.bus
         )
         assert_rho_equal(
-            legacy, result.rho, tol=0.0, context=f"seed={seed}"
+            oracle, result.rho, tol=0.0, context=f"seed={seed}"
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_can_error_faults_bit_identical(self, seed):
+        """The modeled CAN error process: kernel == oracle, including
+        an error process dense enough (interval 1.2) that CAN windows
+        diverge on seed 0."""
+        nodes = 2 + (seed % 3)
+        util = (0.25, 0.5, 0.7)[seed % 3]
+        system = generate_workload(
+            WorkloadSpec(nodes=nodes, seed=seed, target_utilization=util)
+        )
+        faults = FaultSpec(
+            can_error_interval=(1.2, 50.0, 200.0)[seed % 3],
+            can_error_overhead=(0.1, 1.0, 5.0)[seed % 3],
+        )
+        config = straightforward_configuration(system)
+        schedule = static_schedule(system, config.bus)
+        oracle = oracle_rta(
+            system, schedule.offsets, config.priorities, config.bus,
+            faults=faults,
+        )
+        kernel = response_time_analysis(
+            system, schedule.offsets, config.priorities, config.bus,
+            faults=faults,
+        )
+        assert_rho_equal(
+            oracle, kernel, tol=0.0, context=f"faults seed={seed}"
         )
 
     def test_kernel_reuse_across_calls_is_stateless(self):

@@ -95,6 +95,20 @@ def _wait_until(predicate, timeout=30.0, interval=0.02):
     return predicate()
 
 
+def _pid_running(pid):
+    """True while ``pid`` is a live (non-zombie) process."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # An exited process nobody has reaped yet is a zombie.
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
 def _local_pids(service):
     return {
         w["id"]: w["pid"]
@@ -661,10 +675,21 @@ class TestChaosEndToEnd:
             url = line.split("serving on ")[1].strip()
             client = ServeClient(url, timeout=30)
             client.submit_sweep(spec.to_dict())
+            worker_pids = [
+                w["pid"] for w in client.stats()["fleet"]
+                if w["transport"] == "local"
+            ]
+            assert worker_pids
             # SIGKILL mid-sweep: no drain, no checkpoint — only the
             # journal knows what was in flight.
             os.kill(first.pid, signal.SIGKILL)
             first.wait(timeout=10)
+            # The killed daemon's forked workers notice they are
+            # orphaned and exit instead of lingering.
+            assert _wait_until(
+                lambda: not any(_pid_running(p) for p in worker_pids),
+                timeout=15,
+            ), worker_pids
 
             second = _spawn([
                 "serve", "--store", store, "--workers", "2",

@@ -20,6 +20,9 @@ Functional assertions keep it honest: results must agree bit for bit,
 and the kernel must be at least 2x faster on the repeated-solve
 pattern even at smoke scale (the margin at the paper's 160-process
 scale is far larger; see BENCH_kernel.json from ``run_bench.py``).
+The repeated-solve pattern runs on the canonical 2-cluster shape and on
+a 4-cluster, 4-gateway topology (the per-leg rows), each against the
+oracle on the same routing plan.
 
 Scale knobs: ``REPRO_KERNEL_NODES`` (default 2), ``REPRO_KERNEL_REPS``
 (default 20).
@@ -32,6 +35,7 @@ import pytest
 
 from repro.analysis.kernel import AnalysisContext
 from repro.analysis.multihop import multihop_response_time_analysis
+from repro.conformance import conformance_configuration
 from repro.model.architecture import GATEWAY_TRANSFER_PROCESS
 from repro.io import comparison_table
 from repro.optim import straightforward_configuration
@@ -53,12 +57,31 @@ def system():
     return generate_workload(WorkloadSpec(nodes=nodes, seed=0))
 
 
+@pytest.fixture(scope="module")
+def topology_system():
+    """The benchmark's ``topology`` shape: 4 clusters, 4 gateways,
+    16-process graphs."""
+    return generate_workload(WorkloadSpec(
+        nodes=6, clusters=4, gateways=4, processes_per_node=16,
+        gateway_messages=10, graph_size_range=(16, 16), seed=0,
+    ))
+
+
 def test_kernel_speedup(system, capsys):
-    reps = int(os.environ.get("REPRO_KERNEL_REPS", 20))
     config = straightforward_configuration(system)
-    schedule = static_schedule(system, config.bus)
-    offsets = schedule.offsets
+    _assert_repeated_solve_speedup(system, config, capsys)
+
+
+def test_kernel_speedup_on_topology(topology_system, capsys):
+    config = conformance_configuration(topology_system, 10)
+    _assert_repeated_solve_speedup(topology_system, config, capsys)
+
+
+def _assert_repeated_solve_speedup(system, config, capsys):
+    reps = int(os.environ.get("REPRO_KERNEL_REPS", 20))
     plan = system.routing_for({})
+    schedule = static_schedule(system, config.bus, routing=plan)
+    offsets = schedule.offsets
 
     # Process CPU time and best-of-2 passes: the CI gate below must not
     # turn red because a noisy shared runner stalled one timed loop.
@@ -79,11 +102,14 @@ def test_kernel_speedup(system, capsys):
         compiled = [kernel.solve(offsets)[0] for _ in range(reps)]
         kernel_time = min(kernel_time, time.process_time() - t0)
 
-    # The oracle's per-gateway transfer records are the only keys the
-    # kernel does not emit.
-    for rho in oracle:
-        for g in system.arch.gateways():
-            del rho.processes[f"{GATEWAY_TRANSFER_PROCESS}@{g}"]
+    if not system.multi_topology:
+        # The oracle's per-gateway transfer records and ET->TT hops are
+        # the only records the kernel does not emit on the canonical
+        # shape.
+        for rho in oracle:
+            for g in system.arch.gateways():
+                del rho.processes[f"{GATEWAY_TRANSFER_PROCESS}@{g}"]
+            rho.hops.clear()
     for rho_a, rho_b in zip(oracle, compiled):
         assert_rho_equal(rho_a, rho_b, tol=0.0, context="bench")
 
@@ -98,7 +124,8 @@ def test_kernel_speedup(system, capsys):
         print()
         print(comparison_table(
             f"{reps} repeated analyses, "
-            f"{system.app.process_count()} processes",
+            f"{system.app.process_count()} processes, "
+            f"{len(system.arch.gateways())} gateway(s)",
             ["path", "cpu time [s]", "speedup"],
             rows,
         ))

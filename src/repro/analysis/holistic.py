@@ -32,11 +32,11 @@ example; see DESIGN.md):
   paper).
 
 Two implementations solve these equations.  The compiled
-:class:`~repro.analysis.kernel.AnalysisContext` is the hot path behind
-:func:`response_time_analysis`; the interpreted, route-aware
+:class:`~repro.analysis.kernel.AnalysisContext` is the only production
+solver, behind :func:`response_time_analysis` and on every topology;
+the interpreted, route-aware
 :func:`repro.analysis.multihop.multihop_response_time_analysis` is the
-readable oracle it is checked against (on the canonical topology the
-two agree bit for bit).  This module keeps the thin wrapper plus the
+readable oracle it is checked against, bit for bit.  This module keeps the thin wrapper plus the
 busy-window helpers and iteration caps that the oracle and the buffer
 bounds (:mod:`repro.analysis.buffers`) share.
 """

@@ -1,5 +1,5 @@
 """Compiled analysis kernel: the optimizer hot path of the holistic
-response-time analysis.
+response-time analysis, on every topology.
 
 An interpreted holistic solver (the route-aware oracle
 :func:`repro.analysis.multihop.multihop_response_time_analysis`)
@@ -10,25 +10,38 @@ evaluation and the synthesis heuristics run thousands of evaluations.
 Everything but the jitters is structurally invariant across those calls
 (the classic observation behind Tindell & Clark's holistic analysis and
 Palencia & Harbour's offset refinement), which is exactly what a
-compiled kernel exploits.
+compiled kernel exploits.  The oracle stays as the readable reference
+the kernel is tested against; production code never calls it.
+
+The kernel solves the oracle's per-leg equations.  The routing plan
+(``system.routing_for(routes)``) splits every message into legs: a
+**CAN leg** arbitrates on one ET cluster's bus and is disturbed only by
+legs on that bus; a **FIFO leg** waits in one gateway's ``Out_TTP`` and
+competes, priority-blind, with that gateway's other FIFO users.  A
+leg's queueing jitter follows from its upstream stage by one of four
+entry rules (ET source, TT-sourced via a gateway, after a CAN leg,
+after a FIFO transit).  The canonical two-cluster system is the
+one-leg case: CAN leg ``i`` is CAN message ``i``.
 
 :class:`AnalysisContext` splits the work into three tiers:
 
-* **compile** (once per :class:`~repro.system.System`): intern every
-  activity — ET process, CAN message, ET->TT message — to an integer id
-  and record the id-indexed constants (periods, WCETs, frame times,
-  sizes, precedence arcs).
+* **compile** (once per :class:`~repro.system.System` and routing
+  plan): intern every activity — ET process, CAN leg, FIFO leg — to an
+  integer id and record the id-indexed constants (periods, WCETs,
+  frame times, sizes, entry rules, precedence arcs).
 * **update** (once per ``(π, β)``): flatten the priority-dependent
   interference sets into parallel index/value rows.  When only a few
   activities changed priority (an OptimizeResources swap, an
   OptimizeSchedule slot candidate) only the rows whose *membership*
   could have changed are rebuilt — O(n·|changed|) instead of O(n²) —
   and a ``β`` change touches nothing but a handful of scalars (gateway
-  slot, round length, divergence horizon).
+  slots, round length, divergence horizon).  A route change recompiles.
 * **solve** (once per offsets ``φ``): run the global monotone fixed
   point entirely over list indices — no string-dict lookups anywhere on
   the inner loops — optionally **warm-started** from a previous
-  solution.
+  solution.  A busy-window row whose inputs (its own jitter, its
+  interferers' jitters and residencies) did not move since its last
+  sweep is skipped: it would return its previous result again.
 
 Warm starts come in two flavours:
 
@@ -101,7 +114,8 @@ class SolveState:
 
     Pass it back into :meth:`AnalysisContext.solve` to warm-start the
     next solve.  All vectors are parallel to the kernel's interned
-    activity lists.
+    activity lists: ``proc_*`` per ET process, ``msg_*`` per CAN leg
+    and ``ttp_*`` per FIFO leg.
     """
 
     proc_jitter: List[float]
@@ -178,8 +192,42 @@ def _solve_row(
     return _INF
 
 
+#: Entry-jitter rule of a CAN leg: how its queueing jitter follows from
+#: the upstream stage (the per-leg rules of
+#: :mod:`repro.analysis.multihop`).  Each leg carries ``(rule, arg, add)``.
+_ET_SOURCE = 0  # J = r_S - C_S of the ET sender (arg: process id)
+_TT_SOURCE = 1  # J = C_T(via): the MBI arrival is the offset
+_AFTER_CAN = 2  # J = r_prev + C_T(via) (arg: previous CAN leg)
+_AFTER_FIFO = 3  # J = J_f + w_f + slot(g_f) + C_T(via) (arg: FIFO leg)
+
+
+def _route_key(routes) -> tuple:
+    """Hashable form of a route-override mapping (``()`` for none)."""
+    if not routes:
+        return ()
+    return tuple(sorted((name, tuple(r)) for name, r in routes.items()))
+
+
+def _columns(rows: List[tuple], width: int) -> List[list]:
+    """Transpose equal-width tuples into ``width`` parallel lists."""
+    if not rows:
+        return [[] for _ in range(width)]
+    return [list(col) for col in zip(*rows)]
+
+
+def _users(rows: List[List[tuple]]) -> List[List[int]]:
+    """Reverse dependencies: the rows each id appears in.  The extra
+    last slot collects the rows of the virtual CAN error process, whose
+    jitter is constant, so it is never read."""
+    users: List[List[int]] = [[] for _ in range(len(rows) + 1)]
+    for i, row in enumerate(rows):
+        for entry in row:
+            users[entry[0]].append(i)
+    return users
+
+
 class AnalysisContext:
-    """A holistic analysis compiled once per ``(System, π, β)``.
+    """A holistic analysis compiled once per ``(System, routes, π, β)``.
 
     See the module docstring for the compile/update/solve split.  The
     context is deliberately *not* thread-safe: a :class:`Session` owns
@@ -196,26 +244,10 @@ class AnalysisContext:
     ) -> None:
         self.system = system
         self.stats = KernelStats()
-        # General topologies (or non-default route overrides) run the
-        # route-aware per-leg solver (repro.analysis.multihop) instead
-        # of the interned canonical rows: the canonical compile below
-        # stays byte-for-byte the pre-routing fast path, and multi-hop
-        # systems pay an interpreted solve per call (compiling per-leg
-        # rows for general graphs is tracked in ROADMAP.md).
-        self._multihop = system.multi_topology or bool(routes)
-        self._plan = None
-        if self._multihop:
-            self._plan = system.routing_for(routes)
-            self._route_overrides = dict(routes) if routes else {}
-            self._max_graph_period = max(
-                g.period for g in system.app.graphs.values()
-            )
-        else:
-            self._compile_static()
         # Modeled CAN error process: one virtual unlocked interferer
         # (see repro.analysis.can_analysis.can_error_term) appended to
-        # every CAN row.  Its id is the virtual slot len(can_msgs); its
-        # jitter is a constant held in the extra msg_jitter slot.
+        # every CAN leg row.  Its id is the virtual slot len(can_legs);
+        # its jitter is a constant held in the extra msg_jitter slot.
         # Degradation factors (node_slow / bus_slow) are *not* handled
         # here — callers derate the System before compiling a context.
         self.faults = faults
@@ -223,18 +255,32 @@ class AnalysisContext:
         term = can_error_term(system, faults)
         if term is not None:
             self._can_error = (term.period, term.cost, term.jitter)
+        self._route_key = _route_key(routes)
+        self._compile_static(system.routing_for(routes))
         self._compiled = False
         self._proc_prio: List[int] = []
-        self._msg_prio: List[int] = []
+        self._leg_prio: List[int] = []
         self._bus: Optional[TTPBusConfig] = None
         self.update(priorities, bus, routes=routes)
 
-    # -- static (per-System) compile ----------------------------------------
+    # -- static (per System and routing plan) compile -----------------------
 
-    def _compile_static(self) -> None:
+    def _compile_static(self, plan) -> None:
+        """Intern every activity of the System under routing ``plan``.
+
+        One id per ET process, per CAN leg and per FIFO leg, numbered
+        message-sorted then by position along the route.  On the
+        canonical topology every CAN message has exactly one CAN leg
+        (leg ``i`` is message ``i``) and every ET->TT message one FIFO
+        leg.
+        """
         system = self.system
         app = system.app
         arch = system.arch
+        topo = system.topology
+        # Route-aware records (per-leg hops, per-gateway transfer
+        # processes) off the canonical single-hop conventions.
+        self._leg_records = system.multi_topology or bool(self._route_key)
 
         self.et_procs: List[str] = system.et_processes()
         self.proc_index: Dict[str, int] = {
@@ -244,175 +290,220 @@ class AnalysisContext:
         self.msg_index: Dict[str, int] = {
             name: i for i, name in enumerate(self.can_msgs)
         }
-        self.ettt_msgs: List[str] = system.et_to_tt_messages()
-        self.ettt_index: Dict[str, int] = {
-            name: i for i, name in enumerate(self.ettt_msgs)
-        }
+        proc_graphs = [app.graph_of_process(p) for p in self.et_procs]
+        procs = [
+            g.processes[p] for g, p in zip(proc_graphs, self.et_procs)
+        ]
+        self._wcet = [q.wcet for q in procs]
+        self._proc_period = [g.period for g in proc_graphs]
+        self._proc_node = [q.node for q in procs]
 
-        self._wcet = [app.process(p).wcet for p in self.et_procs]
-        self._proc_period = [
-            app.period_of_process(p) for p in self.et_procs
-        ]
-        self._proc_node = [app.process(p).node for p in self.et_procs]
-        self._msg_period = [
-            app.period_of_message(m) for m in self.can_msgs
-        ]
-        self._frame_time = [
-            system.can_frame_time(m) for m in self.can_msgs
-        ]
-        self._msg_size = [
-            float(app.message(m).size) for m in self.can_msgs
-        ]
-        self._msg_route = [system.route(m) for m in self.can_msgs]
-        self._ettt_can = [self.msg_index[m] for m in self.ettt_msgs]
-        self._ettt_size = [self._msg_size[i] for i in self._ettt_can]
+        # Gateways with a slot on the (single) TT bus, and C_T of every
+        # gateway crossed.
+        self._tt_gateways: List[str] = topo.gateways_on(
+            topo.tt_clusters()[0]
+        )
+        gw_index = {g: i for i, g in enumerate(self._tt_gateways)}
+        transfer = {g: arch.transfer_wcet_of(g) for g in arch.gateways()}
+        self._transfer_wcet = gateway_transfer_delay(system)
 
-        # Source of each CAN message: the ET sender's id, or -1 for
-        # TT->ET messages (their jitter is the gateway transfer time).
-        self._msg_src: List[int] = []
-        for i, m in enumerate(self.can_msgs):
-            if self._msg_route[i] is MessageRoute.TT_TO_ET:
-                self._msg_src.append(-1)
-            else:
-                self._msg_src.append(self.proc_index[app.message(m).src])
+        # -- legs -------------------------------------------------------------
+        # Per CAN leg: (message name, message id, period, frame time,
+        # entry rule, relay, cluster).  The relay is the gateway that
+        # brings the leg in from the TT side (TT-sourced or transit), else
+        # None: two legs relayed by the same gateway at equal offsets are
+        # enqueued atomically.
+        legs_info: List[tuple] = []
+        self.fifo_msgs: List[str] = []
+        # Per FIFO leg: (gateway, previous CAN leg, C_T, size, period).
+        fifo_info: List[tuple] = []
+        # The CAN leg reported as can[m] (and feeding m's receiver): the
+        # delivering leg, or the source leg of a message ending in a FIFO.
+        self._msg_leg: List[int] = []
+        self._hop_legs: List[Tuple[str, Tuple[Tuple[bool, int], ...]]] = []
+        proc_index = self.proc_index
+        for mid, m in enumerate(self.can_msgs):
+            legs = plan.legs_of(m)
+            graph = app.graph_of_message(m)
+            msg = graph.messages[m]
+            period = graph.period
+            frame = system.can_frame_time(m)
+            first = len(legs_info)
+            fifo = -1
+            hops: List[Tuple[bool, int]] = []
+            for pos, leg in enumerate(legs):
+                via = leg.via
+                if leg.is_fifo:
+                    fifo = len(fifo_info)
+                    self.fifo_msgs.append(m)
+                    fifo_info.append((
+                        gw_index[via], len(legs_info) - 1, transfer[via],
+                        float(msg.size), period,
+                    ))
+                    hops.append((True, fifo))
+                    continue
+                relay = None
+                if via is None:
+                    entry = (_ET_SOURCE, proc_index[msg.src], 0.0)
+                elif pos == 0:
+                    entry = (_TT_SOURCE, -1, transfer[via])
+                    relay = via
+                elif legs[pos - 1].is_fifo:
+                    entry = (_AFTER_FIFO, fifo, transfer[via])
+                    relay = via
+                else:
+                    entry = (_AFTER_CAN, len(legs_info) - 1, transfer[via])
+                hops.append((False, len(legs_info)))
+                legs_info.append(
+                    (m, mid, period, frame, entry, relay, leg.cluster)
+                )
+            self._msg_leg.append(
+                first if legs[-1].is_fifo else len(legs_info) - 1
+            )
+            if len(hops) > 1:
+                self._hop_legs.append((m, tuple(hops)))
+        (
+            self._leg_name, self._leg_msg, self._leg_period,
+            self._leg_frame, self._leg_entry, self._leg_relay,
+            self._leg_cluster,
+        ) = _columns(legs_info, 7)
+        (
+            self._fifo_gw, self._fifo_prev, self._fifo_transfer,
+            self._fifo_size, self._fifo_period,
+        ) = _columns(fifo_info, 5)
+        self._bus_legs: Dict[str, List[int]] = {}
+        for i, cluster in enumerate(self._leg_cluster):
+            self._bus_legs.setdefault(cluster, []).append(i)
 
         # Incoming arcs of every ET process, for release jitter
-        # propagation: (can message id, -1, "") for message arcs,
-        # (-1, ET predecessor id, "") for same-cluster precedence, and
-        # (-1, -1, name) for a TT predecessor (fixed response = WCET).
+        # propagation: (CAN leg id, -1, "") for message arcs (the
+        # delivering leg), (-1, ET predecessor id, "") for same-cluster
+        # precedence, and (-1, -1, name) for a TT predecessor (fixed
+        # response = WCET).
+        msg_leg = self._msg_leg
+        msg_index = self.msg_index
         self._proc_arcs: List[List[Tuple[int, int, str]]] = []
-        for p in self.et_procs:
-            graph = app.graph_of_process(p)
+        for p, graph in zip(self.et_procs, proc_graphs):
             arcs: List[Tuple[int, int, str]] = []
             for pred, msg_name in graph.predecessors(p):
                 if msg_name is not None:
-                    arcs.append((self.msg_index[msg_name], -1, ""))
-                elif pred in self.proc_index:
-                    arcs.append((-1, self.proc_index[pred], ""))
+                    arcs.append((msg_leg[msg_index[msg_name]], -1, ""))
+                elif pred in proc_index:
+                    arcs.append((-1, proc_index[pred], ""))
                 else:
                     arcs.append((-1, -1, pred))
             self._proc_arcs.append(arcs)
         self._tt_pred_wcet = {
-            p.name: p.wcet
-            for p in app.all_processes()
-            if not arch.is_et_node(p.node)
+            p: app.process(p).wcet for p in system.tt_processes()
         }
 
         self._procs_on_node: Dict[str, List[int]] = {}
         for i, node in enumerate(self._proc_node):
             self._procs_on_node.setdefault(node, []).append(i)
-
-        self._transfer_wcet = gateway_transfer_delay(system)
-        self._gateway = arch.gateway
         self._max_graph_period = max(
             (g.period for g in app.graphs.values()), default=0.0
         )
 
         # Ancestor flags are priority-independent; precompute the pair
-        # tables once so row rebuilds never re-query the System.
-        self._msg_anc = [
-            [
-                system.message_is_ancestor(j, m)
-                for j in self.can_msgs
-            ]
-            for m in self.can_msgs
-        ]
+        # tables once so row rebuilds never re-query the System.  CAN
+        # legs only interfere on their own bus, so each leg's flags run
+        # parallel to its bus's member list.
+        leg_name = self._leg_name
+        bus_names = {
+            cluster: [leg_name[k] for k in members]
+            for cluster, members in self._bus_legs.items()
+        }
+        self._leg_anc: List[List[bool]] = []
+        for name, cluster in zip(leg_name, self._leg_cluster):
+            anc = system.message_ancestors(name)
+            self._leg_anc.append([j in anc for j in bus_names[cluster]])
+        et_procs = self.et_procs
         self._proc_anc_rows: Dict[int, List[bool]] = {}
-        for node, members in self._procs_on_node.items():
+        for members in self._procs_on_node.values():
+            names = [et_procs[j] for j in members]
             for i in members:
-                self._proc_anc_rows[i] = [
-                    system.process_is_ancestor(
-                        self.et_procs[j], self.et_procs[i]
-                    )
-                    for j in members
-                ]
+                anc = system.process_ancestors(et_procs[i])
+                self._proc_anc_rows[i] = [q in anc for q in names]
 
         # Out_TTP FIFO competitor rows are priority-*independent* — the
         # FIFO drains in arrival order (repro.semantics contract), so the
-        # row of every ET->TT message is all other ET->TT messages and is
-        # compiled once per System, never rebuilt on a (π, β) re-target.
-        self._ttp_rows = [
-            self._build_ttp_row(i) for i in range(len(self.ettt_msgs))
-        ]
+        # row of every FIFO leg is all other users of the same gateway's
+        # FIFO and is compiled once per plan, never rebuilt on a (π, β)
+        # re-target.
+        fifo_index = {m: f for f, m in enumerate(self.fifo_msgs)}
+        self._ttp_rows = []
+        for f, m in enumerate(self.fifo_msgs):
+            period_f = self._fifo_period[f]
+            row = []
+            anc = system.message_ancestors(m)
+            for other in fifo_competitors(system, m, plan):
+                k = fifo_index[other]
+                period = self._fifo_period[k]
+                row.append((k, 0.0, period, self._fifo_size[k],
+                            period == period_f, other in anc))
+            self._ttp_rows.append(row)
         # Largest frame (own message included) pending per FIFO row —
         # the fragmentation term of the whole-frame drain bound.
         self._ttp_max_size = [
             max(
-                [self._ettt_size[i]]
-                + [entry[3] for entry in self._ttp_rows[i]]
+                [self._fifo_size[f]]
+                + [entry[3] for entry in self._ttp_rows[f]]
             )
-            for i in range(len(self.ettt_msgs))
+            for f in range(len(self.fifo_msgs))
         ]
 
     # -- (π, β) compile and incremental update ------------------------------
 
     def _build_can_row(self, i: int, prio: List[int]) -> List[tuple]:
-        """Higher-priority interferer row of CAN message ``i``.
+        """Higher-priority interferer row of CAN leg ``i``.
 
-        Entries are ``(id, rel, period, cost, locked, ancestor)`` in the
-        oracle's iteration order (sorted message names); ``rel`` is filled
-        by :meth:`_refresh_offsets` (it depends on ``φ``).
+        ``prio`` is per leg (its message's priority).  Entries are
+        ``(id, rel, period, cost, locked, ancestor)`` over the other legs
+        on the same bus — each of another message, since a route is a
+        simple path — in the oracle's iteration order (sorted message
+        names); ``rel`` is filled by :meth:`_refresh_offsets` (it
+        depends on ``φ``).
         """
         own = prio[i]
-        period_i = self._msg_period[i]
-        anc = self._msg_anc[i]
+        period_i = self._leg_period[i]
+        anc = self._leg_anc[i]
         row = [
-            (j, 0.0, self._msg_period[j], self._frame_time[j],
-             self._msg_period[j] == period_i, anc[j])
-            for j in range(len(self.can_msgs))
-            if j != i and prio[j] <= own
+            (k, 0.0, self._leg_period[k], self._leg_frame[k],
+             self._leg_period[k] == period_i, anc[pos])
+            for pos, k in enumerate(self._bus_legs[self._leg_cluster[i]])
+            if k != i and prio[k] <= own
         ]
         if self._can_error is not None:
-            # Error process interferes with every message regardless of
+            # Error process interferes with every leg regardless of
             # priority; appended last so the oracle's summation order
             # (real interferers first, error term last) is preserved.
             period, cost, _ = self._can_error
-            row.append((len(self.can_msgs), 0.0, period, cost, False, False))
+            row.append((len(self._leg_msg), 0.0, period, cost, False, False))
         return row
 
     def _build_can_blocking(self, i: int, prio: List[int]) -> tuple:
-        """Blocking structure of CAN message ``i``.
+        """Blocking structure of CAN leg ``i``.
 
-        ``B_m`` is the largest lower-priority frame that can already be
-        on the wire.  The part contributed by different-period messages
-        is a constant; the equal-period candidates depend on offsets and
-        on ``m``'s evolving jitter, so they are kept as a candidate list
-        that :meth:`_refresh_offsets` turns into a sorted
-        offset/prefix-max table (the per-iteration query is then a
-        binary search instead of a scan).
+        ``B`` is the largest lower-priority frame on the same bus that
+        can already be on the wire.  The part contributed by
+        different-period legs is a constant; the equal-period candidates
+        depend on offsets and on the leg's evolving jitter, so they are
+        kept as a candidate list that :meth:`_refresh_offsets` turns
+        into a sorted offset/prefix-max table (the per-iteration query
+        is then a binary search instead of a scan).
         """
         own = prio[i]
-        period_i = self._msg_period[i]
+        period_i = self._leg_period[i]
         diff_const = 0.0
         same: List[int] = []
-        for j in range(len(self.can_msgs)):
-            if j == i or prio[j] <= own:
+        for k in self._bus_legs[self._leg_cluster[i]]:
+            if k == i or prio[k] <= own:
                 continue
-            if self._msg_period[j] == period_i:
-                same.append(j)
-            elif self._frame_time[j] > diff_const:
-                diff_const = self._frame_time[j]
+            if self._leg_period[k] == period_i:
+                same.append(k)
+            elif self._leg_frame[k] > diff_const:
+                diff_const = self._leg_frame[k]
         return (diff_const, same)
-
-    def _build_ttp_row(self, i: int) -> List[tuple]:
-        """Out_TTP FIFO competitor row of ET->TT message ``i``.
-
-        Priority-blind by the shared FIFO contract
-        (:func:`repro.semantics.fifo_competitors`): every other ET->TT
-        message can sit ahead of ``i`` in the arrival-ordered queue.
-        """
-        can_i = self._ettt_can[i]
-        period_i = self._msg_period[can_i]
-        anc = self._msg_anc[can_i]
-        competitors = set(
-            fifo_competitors(self.system, self.ettt_msgs[i])
-        )
-        return [
-            (j, 0.0, self._msg_period[cj], self._msg_size[cj],
-             self._msg_period[cj] == period_i, anc[cj])
-            for j, cj in enumerate(self._ettt_can)
-            if self.ettt_msgs[j] in competitors
-        ]
 
     def _build_proc_row(self, i: int, prio: List[int]) -> List[tuple]:
         """Same-node higher-priority interferer row of ET process ``i``."""
@@ -427,15 +518,20 @@ class AnalysisContext:
             if j != i and prio[j] < own
         ]
 
+    def _refresh_users(self) -> None:
+        """Rebuild the reverse dependencies of the CAN and process rows."""
+        self._can_users = _users(self._can_rows)
+        self._proc_users = _users(self._proc_rows)
+
     def _snapshot_bus(self, bus: TTPBusConfig) -> None:
         # Validate before assigning anything: a bus without a gateway
         # slot must not leave half-updated scalars behind (a retry with
         # the same object would then skip re-validation entirely).
-        gateway_slot = bus.slot_of(self._gateway)
+        slots = [bus.slot_of(g) for g in self._tt_gateways]
         self._bus = bus
         self._round_length = bus.round_length
-        self._gateway_capacity = gateway_slot.capacity
-        self._gateway_slot_time = gateway_slot.duration
+        self._gw_capacity = [slot.capacity for slot in slots]
+        self._gw_slot_time = [slot.duration for slot in slots]
         self._horizon = (
             4.0 * max(self._max_graph_period, bus.round_length) + 1.0e4
         )
@@ -446,85 +542,77 @@ class AnalysisContext:
         bus: TTPBusConfig,
         routes=None,
     ) -> str:
-        """Re-target the kernel at a new ``(π, β)`` (and, for general
-        topologies, a new route assignment).
+        """Re-target the kernel at a new ``(π, β)`` and route overrides.
 
-        Returns ``"compiled"`` on the first (full) build,
-        ``"incremental"`` when only the rows mentioning changed
-        activities were rebuilt, and ``"cached"`` when nothing changed.
-        A ``β`` change alone never rebuilds a row — the TDMA round only
-        enters the analysis through the gateway slot scalars and the
-        divergence horizon.
+        Returns ``"compiled"`` on a full build (the first one, or after
+        a route change, which re-derives every leg), ``"incremental"``
+        when only the rows mentioning changed activities were rebuilt,
+        and ``"cached"`` when nothing changed.  A ``β`` change alone
+        never rebuilds a row — the TDMA round only enters the analysis
+        through the gateway slot scalars and the divergence horizon.
         """
-        if self._multihop:
-            # Route-aware solves re-read (π, β, routes) per call; the
-            # only state to refresh here is the plan (a route move from
-            # the optimizer) and the solve inputs.
-            if routes is not None and dict(routes) != getattr(
-                self, "_route_overrides", None
-            ):
-                self._plan = self.system.routing_for(routes)
-                self._route_overrides = dict(routes)
-            self._priorities = priorities
-            self._bus = bus
-            if not self._compiled:
-                self._compiled = True
-                self.stats.compiles += 1
-                return "compiled"
-            self.stats.updates += 1
-            return "incremental"
-        if routes:
-            raise AnalysisError(
-                "route overrides require a kernel created with routes= "
-                "(the canonical compiled rows are single-hop)"
-            )
+        key = _route_key(routes)
+        if key != self._route_key:
+            self._route_key = key
+            self._compile_static(self.system.routing_for(routes))
+            self._compiled = False
         proc_prio = [
             priorities.process_priority(p) for p in self.et_procs
         ]
         msg_prio = [
             priorities.message_priority(m) for m in self.can_msgs
         ]
-        if not self._compiled:  # first build
+        n_leg = len(self._leg_msg)
+        leg_prio = [msg_prio[m] for m in self._leg_msg]
+        if not self._compiled:  # full build
             self._can_rows = [
-                self._build_can_row(i, msg_prio)
-                for i in range(len(self.can_msgs))
+                self._build_can_row(i, leg_prio) for i in range(n_leg)
             ]
             self._can_blocking = [
-                self._build_can_blocking(i, msg_prio)
-                for i in range(len(self.can_msgs))
+                self._build_can_blocking(i, leg_prio)
+                for i in range(n_leg)
             ]
             self._proc_rows = [
                 self._build_proc_row(i, proc_prio)
                 for i in range(len(self.et_procs))
             ]
             self._proc_prio = proc_prio
-            self._msg_prio = msg_prio
+            self._leg_prio = leg_prio
+            self._refresh_users()
             self._snapshot_bus(bus)
             self._compiled = True
             self.stats.compiles += 1
             return "compiled"
 
         changed = False
-        changed_msgs = [
-            j for j in range(len(self.can_msgs))
-            if msg_prio[j] != self._msg_prio[j]
+        changed_legs = [
+            k for k in range(n_leg) if leg_prio[k] != self._leg_prio[k]
         ]
-        if changed_msgs:
-            old = self._msg_prio
-            for i in range(len(self.can_msgs)):
-                if i in changed_msgs or any(
-                    (old[j] <= old[i]) != (msg_prio[j] <= msg_prio[i])
-                    for j in changed_msgs
-                    if j != i
-                ):
-                    self._can_rows[i] = self._build_can_row(i, msg_prio)
-                    self._can_blocking[i] = self._build_can_blocking(
-                        i, msg_prio
-                    )
-                    self.stats.rows_recompiled += 1
+        if changed_legs:
+            old = self._leg_prio
+            for cluster, members in self._bus_legs.items():
+                peers = [
+                    k for k in changed_legs
+                    if self._leg_cluster[k] == cluster
+                ]
+                if not peers:
+                    continue
+                for i in members:
+                    if i in peers or any(
+                        (old[k] <= old[i]) != (leg_prio[k] <= leg_prio[i])
+                        for k in peers
+                        if k != i
+                    ):
+                        self._can_rows[i] = self._build_can_row(
+                            i, leg_prio
+                        )
+                        self._can_blocking[i] = self._build_can_blocking(
+                            i, leg_prio
+                        )
+                        self.stats.rows_recompiled += 1
             # Out_TTP FIFO rows are priority-blind (built once in
             # _compile_static) — a π change never touches them.
-            self._msg_prio = msg_prio
+            self._leg_prio = leg_prio
             changed = True
 
         changed_procs = [
@@ -550,6 +638,8 @@ class AnalysisContext:
                         self.stats.rows_recompiled += 1
             self._proc_prio = proc_prio
             changed = True
+        if changed:
+            self._refresh_users()
 
         if self._bus is not bus:
             same = (
@@ -582,13 +672,17 @@ class AnalysisContext:
         self._proc_off = [
             proc_off_map.get(p, 0.0) for p in self.et_procs
         ]
-        self._msg_off = [
-            msg_off_map.get(m, 0.0) for m in self.can_msgs
+        self._leg_off = [
+            msg_off_map.get(m, 0.0) for m in self._leg_name
+        ]
+        self._fifo_off = [
+            msg_off_map.get(m, 0.0) for m in self.fifo_msgs
         ]
         self._proc_off_map = proc_off_map
         self._msg_off_map = msg_off_map
 
-        msg_off = self._msg_off
+        leg_off = self._leg_off
+        fifo_off = self._fifo_off
         proc_off = self._proc_off
 
         def _rel(off_j: float, off_i: float, period: float) -> float:
@@ -596,20 +690,19 @@ class AnalysisContext:
 
         self._can_rows_z: List[List[tuple]] = []
         for i, row in enumerate(self._can_rows):
-            off_i = msg_off[i]
+            off_i = leg_off[i]
             self._can_rows_z.append([
                 (k,
-                 _rel(msg_off[k], off_i, period) if lck else 0.0,
+                 _rel(leg_off[k], off_i, period) if lck else 0.0,
                  period, cost, lck, anc)
                 for k, _, period, cost, lck, anc in row
             ])
         self._ttp_rows_z: List[List[tuple]] = []
         for i, row in enumerate(self._ttp_rows):
-            off_i = msg_off[self._ettt_can[i]]
+            off_i = fifo_off[i]
             self._ttp_rows_z.append([
                 (k,
-                 _rel(msg_off[self._ettt_can[k]], off_i, period)
-                 if lck else 0.0,
+                 _rel(fifo_off[k], off_i, period) if lck else 0.0,
                  period, cost, lck, anc)
                 for k, _, period, cost, lck, anc in row
             ])
@@ -624,26 +717,29 @@ class AnalysisContext:
             ])
 
         # Equal-period blocking candidates, sorted by offset with a
-        # running prefix maximum of frame times.  A candidate blocks m
-        # exactly when its offset lies strictly before O_m + J_m, so the
-        # worst blocker among the first bisect(offsets, O_m + J_m)
+        # running prefix maximum of frame times.  A candidate blocks a
+        # leg exactly when its offset lies strictly before O_m + J_m, so
+        # the worst blocker among the first bisect(offsets, O_m + J_m)
         # candidates is one prefix-max lookup.  Atomic gateway frames
-        # (both TT->ET, same offset — enqueued together by the transfer
-        # process) can never block and are dropped here.
+        # (both relayed in from the TT side by the same gateway at the
+        # same offset — enqueued together by its transfer process) can
+        # never block and are dropped here.
+        relay = self._leg_relay
+        frame_time = self._leg_frame
         self._blk_offsets: List[List[float]] = []
         self._blk_prefmax: List[List[float]] = []
         for i, (_, same) in enumerate(self._can_blocking):
             pairs = []
-            own_tt = self._msg_route[i] is MessageRoute.TT_TO_ET
-            off_i = msg_off[i]
+            own_relay = relay[i]
+            off_i = leg_off[i]
             for j in same:
                 if (
-                    own_tt
-                    and self._msg_route[j] is MessageRoute.TT_TO_ET
-                    and msg_off[j] == off_i
+                    own_relay is not None
+                    and relay[j] == own_relay
+                    and leg_off[j] == off_i
                 ):
                     continue
-                pairs.append((msg_off[j], self._frame_time[j]))
+                pairs.append((leg_off[j], frame_time[j]))
             pairs.sort()
             offs = [p[0] for p in pairs]
             pref: List[float] = []
@@ -656,11 +752,11 @@ class AnalysisContext:
             self._blk_prefmax.append(pref)
 
     def _blocking(self, i: int, own_jitter: float) -> float:
-        """``B_m`` of CAN message ``i`` at the current jitter."""
+        """``B`` of CAN leg ``i`` at the current jitter."""
         worst = self._can_blocking[i][0]
         offs = self._blk_offsets[i]
         if offs:
-            bound = self._msg_off[i] + own_jitter
+            bound = self._leg_off[i] + own_jitter
             count = bisect_left(offs, bound)
             if count:
                 pref = self._blk_prefmax[i][count - 1]
@@ -703,40 +799,27 @@ class AnalysisContext:
         offsets: OffsetTable,
         warm: Optional[SolveState] = None,
     ) -> Tuple[ResponseTimes, SolveState]:
-        if self._multihop:
-            from .multihop import multihop_response_time_analysis
-
-            self.stats.solves += 1
-            rho = multihop_response_time_analysis(
-                self.system,
-                offsets,
-                self._priorities,
-                self._bus,
-                self._plan,
-                faults=self.faults,
-            )
-            # The interpreted path carries no warm-start vectors; the
-            # Fig. 5 loop treats a None state as a cold solve.
-            return rho, None
         self._refresh_offsets(offsets)
         self.stats.solves += 1
 
         n_proc = len(self.et_procs)
-        n_msg = len(self.can_msgs)
-        n_ttp = len(self.ettt_msgs)
+        n_leg = len(self._leg_msg)
+        n_fifo = len(self.fifo_msgs)
         wcet = self._wcet
-        frame_time = self._frame_time
+        frame_time = self._leg_frame
         horizon = self._horizon
-        transfer_response = self._transfer_wcet
         bus = self._bus
         round_length = self._round_length
-        gateway_capacity = self._gateway_capacity
-        gateway = self._gateway
-        msg_off = self._msg_off
+        gw_names = self._tt_gateways
+        gw_capacity = self._gw_capacity
+        gw_slot_time = self._gw_slot_time
+        fifo_gw = self._fifo_gw
+        fifo_prev = self._fifo_prev
+        fifo_transfer = self._fifo_transfer
+        fifo_off = self._fifo_off
+        leg_off = self._leg_off
+        leg_entry = self._leg_entry
         proc_off = self._proc_off
-        msg_src = self._msg_src
-        routes = self._msg_route
-        tt_to_et = MessageRoute.TT_TO_ET
 
         if warm is not None and warm.finite():
             self.stats.warm_starts += 1
@@ -753,51 +836,81 @@ class AnalysisContext:
             pj = [0.0] * n_proc
             pw = list(wcet)
             pr = list(wcet)
-            mj = [0.0] * n_msg
-            mq = [0.0] * n_msg
+            mj = [0.0] * n_leg
+            mq = [0.0] * n_leg
             mr = list(frame_time)
-            tj = [0.0] * n_ttp
-            tq = [0.0] * n_ttp
-            ta = [0.0] * n_ttp
+            tj = [0.0] * n_fifo
+            tq = [0.0] * n_fifo
+            ta = [0.0] * n_fifo
 
         if self._can_error is not None:
-            # Virtual error slot: constant jitter at index n_msg.  The
-            # step-1 jitter sweep only writes indices < n_msg, so the
+            # Virtual error slot: constant jitter at index n_leg.  The
+            # step-1 jitter sweep only writes indices < n_leg, so the
             # slot survives every outer iteration; slicing first makes
             # warm states valid whichever shape they were saved with.
-            mj = mj[:n_msg] + [self._can_error[2]]
+            mj = mj[:n_leg] + [self._can_error[2]]
 
         can_rows = self._can_rows_z
         ttp_rows = self._ttp_rows_z
         proc_rows = self._proc_rows_z
-        ettt_can = self._ettt_can
-        ettt_size = self._ettt_size
+        fifo_size = self._fifo_size
         floor = math.floor
         ceil = math.ceil
+
+        # Exact row skipping: a busy-window row is a pure function of its
+        # own jitter, its interferers' jitters and their residencies, and
+        # it restarts from its previous result (a fixed point of the
+        # same equation), so a row none of whose inputs moved since its
+        # last sweep would return that result again.  Rows are marked
+        # dirty when one of their inputs changes; every row is dirty at
+        # the start of a solve (the offsets, and with them the phases,
+        # are new), and a diverged row stays dirty (it restarts from its
+        # base, not from its previous result).
+        can_users = self._can_users
+        proc_users = self._proc_users
+        can_dirty = [True] * n_leg
+        proc_dirty = [True] * n_proc
+        res_can = [
+            (mq[i] if mq[i] != _INF else horizon) + frame_time[i]
+            for i in range(n_leg)
+        ]
+        res_proc = [
+            pw[i] if pw[i] != _INF else horizon for i in range(n_proc)
+        ]
 
         for _ in range(_MAX_OUTER_ITERATIONS):
             changed = False
 
-            # 1. Message queueing jitters from current process responses.
-            for i in range(n_msg):
-                if routes[i] is tt_to_et:
-                    j = transfer_response
-                else:
-                    src = msg_src[i]
-                    j = pr[src] - wcet[src]
+            # 1. CAN leg queueing jitters from their upstream stages.
+            for i in range(n_leg):
+                rule, arg, add = leg_entry[i]
+                if rule == _ET_SOURCE:
+                    j = pr[arg] - wcet[arg]
                     if j < 0.0:
                         j = 0.0
+                elif rule == _TT_SOURCE:
+                    j = add
+                elif rule == _AFTER_CAN:
+                    j = mr[arg] + add
+                else:  # transit: heard at the carrying slot's end
+                    j = (
+                        tj[arg] + tq[arg] + gw_slot_time[fifo_gw[arg]]
+                        + add
+                    )
                 if j != mj[i]:
                     mj[i] = j
                     changed = True
+                    can_dirty[i] = True
+                    for u in can_users[i]:
+                        can_dirty[u] = True
 
-            # 2. CAN bus queueing delays.  Residency of an interferer on
-            # the wire: its own queueing delay plus its frame time.
-            res_can = [
-                (mq[i] if mq[i] != _INF else horizon) + frame_time[i]
-                for i in range(n_msg)
-            ]
-            for i in range(n_msg):
+            # 2. Per-bus CAN queueing delays.  Residency of an interferer
+            # on the wire: its own queueing delay plus its frame time,
+            # as of the end of the previous sweep.
+            moved = []
+            for i in range(n_leg):
+                if not can_dirty[i]:
+                    continue
                 base = self._blocking(i, mj[i])
                 prev = mq[i]
                 start = prev if base < prev < _INF else base
@@ -805,26 +918,35 @@ class AnalysisContext:
                     base, mj[i], can_rows[i], mj, res_can,
                     TIE_EPSILON, horizon, start,
                 )
-                if w != mq[i]:
+                can_dirty[i] = w == _INF
+                if w != prev:
                     mq[i] = w
                     changed = True
+                    moved.append(i)
                 mr[i] = mj[i] + w + frame_time[i]
+            for k in moved:
+                res_can[k] = (
+                    (mq[k] if mq[k] != _INF else horizon) + frame_time[k]
+                )
+                for u in can_users[k]:
+                    can_dirty[u] = True
 
-            # 3. Gateway Out_TTP FIFO for ET->TT messages.
-            for i in range(n_ttp):
-                j = mr[ettt_can[i]] + transfer_response
+            # 3. Per-gateway Out_TTP FIFOs.
+            for i in range(n_fifo):
+                j = mr[fifo_prev[i]] + fifo_transfer[i]
                 if j != tj[i]:
                     tj[i] = j
                     changed = True
-            for i in range(n_ttp):
-                instant = ettt_queue_instant(msg_off[ettt_can[i]], tj[i])
+            for i in range(n_fifo):
+                instant = ettt_queue_instant(fifo_off[i], tj[i])
                 if instant == _INF:
                     if tq[i] != _INF:
                         changed = True
                     tq[i] = _INF
                     ta[i] = _INF
                     continue
-                blocking = bus.waiting_time(gateway, instant)
+                gw = fifo_gw[i]
+                blocking = bus.waiting_time(gw_names[gw], instant)
                 row = ttp_rows[i]
                 diverged = False
                 for entry in row:
@@ -839,6 +961,7 @@ class AnalysisContext:
                     continue
                 own_j = tj[i]
                 max_size = self._ttp_max_size[i]
+                capacity = gw_capacity[gw]
                 w = blocking
                 ahead = 0.0
                 for _inner in range(_MAX_INNER_ITERATIONS):
@@ -868,8 +991,7 @@ class AnalysisContext:
                     # Whole-frame drain bound (repro.semantics): mirrors
                     # the oracle's pass operation for operation.
                     rounds = fifo_drain_rounds(
-                        ettt_size[i], ahead, count,
-                        gateway_capacity, max_size,
+                        fifo_size[i], ahead, count, capacity, max_size,
                     )
                     w_next = blocking + (rounds - 1) * round_length
                     if w_next == w:
@@ -889,9 +1011,9 @@ class AnalysisContext:
             for i in range(n_proc):
                 own_offset = proc_off[i]
                 jitter = 0.0
-                for msg_idx, pred_idx, pred_name in self._proc_arcs[i]:
-                    if msg_idx >= 0:
-                        arrival = msg_off[msg_idx] + mr[msg_idx]
+                for leg, pred_idx, pred_name in self._proc_arcs[i]:
+                    if leg >= 0:
+                        arrival = leg_off[leg] + mr[leg]
                     elif pred_idx >= 0:
                         arrival = proc_off[pred_idx] + pr[pred_idx]
                     else:
@@ -903,15 +1025,17 @@ class AnalysisContext:
                 if jitter != pj[i]:
                     pj[i] = jitter
                     changed = True
+                    proc_dirty[i] = True
+                    for u in proc_users[i]:
+                        proc_dirty[u] = True
 
             # 5. Busy windows of ET processes.  Residency of an
-            # interfering process: its whole busy window (snapshot taken
-            # before the sweep, as in the oracle's pass).
-            res_proc = [
-                pw[i] if pw[i] != _INF else horizon
-                for i in range(n_proc)
-            ]
+            # interfering process: its whole busy window (as of the end
+            # of the previous sweep, as in the oracle's pass).
+            moved = []
             for i in range(n_proc):
+                if not proc_dirty[i]:
+                    continue
                 base = wcet[i]
                 prev = pw[i]
                 start = prev if base < prev < _INF else base
@@ -919,10 +1043,16 @@ class AnalysisContext:
                     base, pj[i], proc_rows[i], pj, res_proc,
                     0.0, horizon, start,
                 )
-                if window != pw[i]:
+                proc_dirty[i] = window == _INF
+                if window != prev:
                     pw[i] = window
                     changed = True
+                    moved.append(i)
                 pr[i] = pj[i] + window
+            for k in moved:
+                res_proc[k] = pw[k] if pw[k] != _INF else horizon
+                for u in proc_users[k]:
+                    proc_dirty[u] = True
 
             if not changed:
                 break
@@ -942,12 +1072,18 @@ class AnalysisContext:
     # -- packaging -----------------------------------------------------------
 
     def _package(self, state: SolveState) -> ResponseTimes:
-        """Translate a solved state back into the named ``ρ`` record."""
+        """Translate a solved state back into the named ``ρ`` record.
+
+        ``can[m]`` is the delivering CAN leg (the source leg of a
+        message ending in a FIFO), ``ttp[m]`` the FIFO leg.  Off the
+        canonical single-hop conventions the record also carries every
+        multi-leg message's ``hops`` and one transfer process per
+        gateway, as the oracle does.
+        """
         system = self.system
         app = system.app
         arch = system.arch
         proc_off_map = self._proc_off_map
-        msg_off = self._msg_off
         result = ResponseTimes()
         proc_index = self.proc_index
         for proc in app.all_processes():
@@ -975,28 +1111,51 @@ class AnalysisContext:
             offset=0.0, jitter=0.0, queuing=0.0,
             duration=self._transfer_wcet,
         )
+        if self._leg_records:
+            for g in arch.gateways():
+                result.processes[f"{GATEWAY_TRANSFER_PROCESS}@{g}"] = (
+                    ActivityTiming(
+                        offset=0.0, jitter=0.0, queuing=0.0,
+                        duration=arch.transfer_wcet_of(g),
+                    )
+                )
+
+        leg_off = self._leg_off
+        leg_queue = state.msg_queue
+        leg_jitter = state.msg_jitter
+
+        def can_record(i: int) -> ActivityTiming:
+            converged = leg_queue[i] != _INF and leg_jitter[i] != _INF
+            return ActivityTiming(
+                offset=leg_off[i],
+                jitter=leg_jitter[i] if converged else _INF,
+                queuing=leg_queue[i] if converged else _INF,
+                duration=self._leg_frame[i],
+                converged=converged,
+            )
+
+        def fifo_record(f: int) -> ActivityTiming:
+            converged = (
+                state.ttp_queue[f] != _INF and state.ttp_jitter[f] != _INF
+            )
+            return ActivityTiming(
+                offset=self._fifo_off[f],
+                jitter=state.ttp_jitter[f] if converged else _INF,
+                queuing=state.ttp_queue[f] if converged else _INF,
+                duration=self._gw_slot_time[self._fifo_gw[f]],
+                converged=converged,
+            )
+
         for i, m in enumerate(self.can_msgs):
-            converged = (
-                state.msg_queue[i] != _INF and state.msg_jitter[i] != _INF
-            )
-            result.can[m] = ActivityTiming(
-                offset=msg_off[i],
-                jitter=state.msg_jitter[i] if converged else _INF,
-                queuing=state.msg_queue[i] if converged else _INF,
-                duration=self._frame_time[i],
-                converged=converged,
-            )
-        for i, m in enumerate(self.ettt_msgs):
-            converged = (
-                state.ttp_queue[i] != _INF and state.ttp_jitter[i] != _INF
-            )
-            result.ttp[m] = ActivityTiming(
-                offset=msg_off[self._ettt_can[i]],
-                jitter=state.ttp_jitter[i] if converged else _INF,
-                queuing=state.ttp_queue[i] if converged else _INF,
-                duration=self._gateway_slot_time,
-                converged=converged,
-            )
+            result.can[m] = can_record(self._msg_leg[i])
+        for f, m in enumerate(self.fifo_msgs):
+            result.ttp[m] = fifo_record(f)
+        if self._leg_records:
+            for m, hops in self._hop_legs:
+                result.hops[m] = tuple(
+                    fifo_record(k) if is_fifo else can_record(k)
+                    for is_fifo, k in hops
+                )
         route = system.route
         msg_off_map = self._msg_off_map
         for msg in app.all_messages():

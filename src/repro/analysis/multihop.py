@@ -1,9 +1,11 @@
 """Holistic response-time analysis over arbitrary routes (multi-hop).
 
-The compiled :mod:`repro.analysis.kernel` implements the paper's fixed
-shape — one ETC, one TTC, one gateway — where every CAN-borne message
-has exactly one bus leg and every ET->TT message exactly one FIFO leg.
-This module is the same holistic fixed point *per leg*: each message
+The paper's fixed shape — one ETC, one TTC, one gateway — gives every
+CAN-borne message exactly one bus leg and every ET->TT message exactly
+one FIFO leg.  This module is the holistic fixed point *per leg*,
+interpreted and written for reading; the compiled
+:mod:`repro.analysis.kernel` solves the same equations in production,
+and only tests and benchmarks call this one.  Each message
 contributes one analysed activity per
 :class:`repro.semantics.routing.Leg` of its route, and the jitter chain
 threads the legs together:
@@ -30,12 +32,14 @@ byte-wise, priority-blind, including ET->ET messages transiting the TT
 cluster (:func:`repro.semantics.fifo_competitors` with a plan).
 
 On the canonical two-cluster topology every rule above degenerates to
-the classic one, which makes this solver, run with the default routing
-plan, the single readable oracle of the analysis: the engines take the
-compiled kernel there, and
-``tests/test_kernel_parity.py::TestKernelMatchesOracle`` pins the kernel
-to this solver bit for bit (the only extra records are the per-gateway
-``__gateway_T__@<gw>`` transfer processes).
+the classic one.  This solver is the single readable oracle of the
+analysis: ``tests/test_kernel_parity.py::TestKernelMatchesOracle`` and
+``TestKernelMatchesOracleOnTopologies`` pin the kernel to it bit for
+bit, on the canonical shape (where it also reports per-gateway
+``__gateway_T__@<gw>`` transfer processes and the two-leg ``hops`` of
+ET->TT messages, which the kernel's classic records leave out) and on
+general topologies and route overrides (where the records match
+exactly).
 """
 
 from __future__ import annotations

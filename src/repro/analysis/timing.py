@@ -107,11 +107,15 @@ class ResponseTimes:
         The structural-parity companion of
         :meth:`OffsetTable.max_abs_delta`: returns 0.0 when the two
         records are bit-identical, ``math.inf`` when they differ
-        structurally (key sets, convergence flags, TT arrivals) or one
-        side diverged where the other did not.  The kernel parity tests
-        and benchmarks assert ``a.max_abs_delta(b) == 0.0``.
+        structurally (key sets, hop counts, convergence flags, TT
+        arrivals) or one side diverged where the other did not.  The
+        kernel parity tests and benchmarks assert
+        ``a.max_abs_delta(b) == 0.0``.
         """
         worst = 0.0
+        if set(self.hops) != set(other.hops):
+            return math.inf
+        pairs = []
         for mine, theirs in (
             (self.processes, other.processes),
             (self.can, other.can),
@@ -119,21 +123,25 @@ class ResponseTimes:
         ):
             if set(mine) != set(theirs):
                 return math.inf
-            for key, timing in mine.items():
-                against = theirs[key]
-                if timing.converged != against.converged:
-                    return math.inf
-                for a, b in (
-                    (timing.offset, against.offset),
-                    (timing.jitter, against.jitter),
-                    (timing.queuing, against.queuing),
-                    (timing.duration, against.duration),
-                ):
-                    if math.isinf(a) and math.isinf(b):
-                        continue
-                    delta = abs(a - b)
-                    if delta > worst:
-                        worst = delta
+            pairs.extend((t, theirs[k]) for k, t in mine.items())
+        for name, legs in self.hops.items():
+            if len(legs) != len(other.hops[name]):
+                return math.inf
+            pairs.extend(zip(legs, other.hops[name]))
+        for timing, against in pairs:
+            if timing.converged != against.converged:
+                return math.inf
+            for a, b in (
+                (timing.offset, against.offset),
+                (timing.jitter, against.jitter),
+                (timing.queuing, against.queuing),
+                (timing.duration, against.duration),
+            ):
+                if math.isinf(a) and math.isinf(b):
+                    continue
+                delta = abs(a - b)
+                if delta > worst:
+                    worst = delta
         if self.tt_arrival != other.tt_arrival:
             return math.inf
         return worst

@@ -118,13 +118,12 @@ class AnalysisBackend(EvaluationBackend):
             if kernel is not None and (
                 kernel.system is not run_system
                 or kernel.faults != analysis_faults
-                or (config.routes and not getattr(kernel, "_multihop", False))
             ):
                 # The session's shared kernel is compiled for fault-free
-                # evaluation of the original system (and, on canonical
-                # topologies, for single-hop routes); a faulted or
-                # route-overridden run gets its own compile instead of a
-                # wrong (or refused) reuse.
+                # evaluation of the original system; a faulted run gets
+                # its own compile instead of a wrong reuse.  Route
+                # overrides re-target the shared kernel (see
+                # AnalysisContext.update).
                 kernel = None
             validate_configuration(run_system.app, run_system.arch, config)
             result = multi_cluster_scheduling(

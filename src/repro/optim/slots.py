@@ -58,7 +58,12 @@ def recommended_capacities(
     The smallest legal capacity (largest single message) plus the
     cumulative sums of the message sizes in descending-size order — the
     capacities at which one more message fits into the same frame.
+    ``max_candidates=1`` keeps only the floor.
     """
+    if max_candidates < 1:
+        raise ValueError(
+            f"max_candidates must be at least 1, got {max_candidates}"
+        )
     sizes = sorted(messages_sent_over_ttp(system, node), reverse=True)
     floor = minimum_slot_capacity(system.app, system.arch, node)
     candidates = {floor}
@@ -68,6 +73,8 @@ def recommended_capacities(
         candidates.add(max(running, floor))
     ordered = sorted(candidates)
     if len(ordered) > max_candidates:
+        if max_candidates == 1:
+            return [floor]
         # Keep the floor, the total, and evenly spaced interior points.
         keep = {ordered[0], ordered[-1]}
         step = (len(ordered) - 1) / (max_candidates - 1)

@@ -103,6 +103,7 @@ def resolve_routes(
     """
     topo = system.arch.topology
     routes: Dict[str, Tuple[str, ...]] = {}
+    defaults: Dict[Tuple[str, str], Tuple[str, ...]] = {}
     overrides = overrides or {}
     for name in sorted(overrides):
         if name not in {m.name for m in system.app.all_messages()}:
@@ -127,7 +128,9 @@ def resolve_routes(
                     f"invalid route for message {msg.name}: {exc}"
                 ) from None
         else:
-            route = topo.default_route(src, dst)
+            route = defaults.get((src, dst))
+            if route is None:
+                route = defaults[(src, dst)] = topo.default_route(src, dst)
         routes[msg.name] = route
     return routes
 
@@ -149,23 +152,34 @@ class RoutingPlan:
         self.routes = resolve_routes(system, overrides)
         self.legs: Dict[str, Tuple[Leg, ...]] = {}
         topo = system.arch.topology
+        app = system.app
+        # Legs depend only on (source node, destination cluster, route):
+        # messages sharing all three share one (immutable) leg tuple.
+        built: Dict[tuple, Tuple[Leg, ...]] = {}
         for name, route in self.routes.items():
-            self.legs[name] = self._build_legs(name, route)
+            src_node = app.process(app.message(name).src).node
+            key = (src_node, system.clusters_of_message(name)[1], route)
+            legs = built.get(key)
+            if legs is None:
+                legs = built[key] = self._build_legs(name, route)
+            self.legs[name] = legs
         # Intra-cluster ET->ET messages have a single source CAN leg.
         for name in system.can_messages():
             if name not in self.legs:
-                msg = system.app.message(name)
-                src_node = system.app.process(msg.src).node
-                cluster = system.arch.cluster_of_node(src_node)
-                self.legs[name] = (
-                    Leg(
-                        kind="can",
-                        cluster=cluster,
-                        sender=src_node,
-                        via=None,
-                        queue=f"Out_{src_node}",
-                    ),
-                )
+                src_node = app.process(app.message(name).src).node
+                key = (src_node,)
+                legs = built.get(key)
+                if legs is None:
+                    legs = built[key] = (
+                        Leg(
+                            kind="can",
+                            cluster=system.arch.cluster_of_node(src_node),
+                            sender=src_node,
+                            via=None,
+                            queue=f"Out_{src_node}",
+                        ),
+                    )
+                self.legs[name] = legs
         # -- indexes -----------------------------------------------------
         #: messages resident in each gateway's Out_TTP FIFO, sorted.
         self.fifo_users: Dict[str, List[str]] = {

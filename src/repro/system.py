@@ -266,6 +266,10 @@ class System:
         """True when ``ancestor`` transitively precedes ``of`` (same graph)."""
         return ancestor in self._proc_ancestors.get(of, frozenset())
 
+    def process_ancestors(self, of: str) -> frozenset:
+        """Every process that transitively precedes ``of``."""
+        return self._proc_ancestors.get(of, frozenset())
+
     def message_is_ancestor(self, ancestor: str, of: str) -> bool:
         """True when message ``ancestor`` is upstream of message ``of``.
 
@@ -274,6 +278,10 @@ class System:
         ``of``'s queueing.
         """
         return ancestor in self._msg_ancestors.get(of, frozenset())
+
+    def message_ancestors(self, of: str) -> frozenset:
+        """Every message upstream of message ``of``."""
+        return self._msg_ancestors.get(of, frozenset())
 
     def __repr__(self) -> str:
         return f"System({self.app!r}, {self.arch!r})"

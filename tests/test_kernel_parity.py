@@ -2,7 +2,7 @@
 
 The kernel (:mod:`repro.analysis.kernel`) is a performance refactor of
 the holistic analysis, so its entire contract is "same numbers, less
-work".  Three layers of evidence:
+work".  Four layers of evidence:
 
 * a seeded property test comparing :func:`response_time_analysis` (the
   kernel wrapper) against :func:`multihop_response_time_analysis` (the
@@ -10,6 +10,11 @@ work".  Three layers of evidence:
   plan, across random ``generate_workload`` instances with and without
   a modeled CAN error process — processes, CAN legs, TTP legs and
   convergence flags must agree bit for bit;
+* the same comparison on general topologies (3 and 4 clusters, parallel
+  gateways, greedy route overrides, CAN error processes, the Fig. 5
+  loop, a route move, and a hypothesis differential over small random
+  topologies), where the per-leg ``hops`` and per-gateway transfer
+  records are compared too;
 * an incremental-recompilation test: a kernel dragged through a random
   OptimizeResources-style move sequence (priority swaps, slot resizes,
   slot swaps, TT delays) must produce bit-identical results to a kernel
@@ -20,19 +25,25 @@ work".  Three layers of evidence:
   warm-start accelerator stays opt-in.
 """
 
+import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.holistic import response_time_analysis
 from repro.analysis.kernel import AnalysisContext
 from repro.analysis.multicluster import multi_cluster_scheduling
 from repro.analysis.multihop import multihop_response_time_analysis
 from repro.api import Session
+from repro.conformance import conformance_configuration
 from repro.faults import FaultSpec
 from repro.model.architecture import GATEWAY_TRANSFER_PROCESS
 from repro.optim import optimize_resources, straightforward_configuration
 from repro.optim.moves import generate_neighbors
+from repro.optim.routing import fit_bus_to_routes, greedy_routes, route_moves
 from repro.schedule import static_schedule
 from repro.synth import WorkloadSpec, generate_workload
 
@@ -51,11 +62,13 @@ def assert_rho_equal(a, b, tol=0.0, context=""):
 
 
 def oracle_rta(system, offsets, priorities, bus, faults=None):
-    """The multi-hop oracle on the default plan, in the kernel's shape.
+    """The multi-hop oracle on the default plan, in the kernel's
+    canonical shape.
 
-    The oracle also reports one transfer-process record per gateway
-    (``__gateway_T__@<gw>``); those are the only keys the kernel does
-    not emit, so they are checked and dropped here.
+    On a canonical system the oracle also reports one transfer-process
+    record per gateway (``__gateway_T__@<gw>``) and the two-leg ``hops``
+    of every ET->TT message; those are the only records the kernel does
+    not emit there, so they are checked and dropped here.
     """
     rho = multihop_response_time_analysis(
         system, offsets, priorities, bus, system.routing_for({}),
@@ -67,7 +80,39 @@ def oracle_rta(system, offsets, priorities, bus, faults=None):
     assert per_gateway <= set(rho.processes)
     for name in per_gateway:
         del rho.processes[name]
+    assert set(rho.hops) == set(system.et_to_tt_messages())
+    rho.hops.clear()
     return rho
+
+
+def topology_oracle(system, offsets, priorities, bus, routes=None,
+                    faults=None):
+    """The oracle on a route plan, records untouched (``hops`` and
+    per-gateway transfer processes included)."""
+    return multihop_response_time_analysis(
+        system, offsets, priorities, bus, system.routing_for(routes),
+        faults=faults,
+    )
+
+
+def topology_case(seed, clusters, gateways, nodes=4, routed=False,
+                  **spec):
+    """A seeded general-topology system, its conformance configuration
+    (greedy route overrides and a bus grown to carry them when
+    ``routed``) and the static schedule's offsets."""
+    system = generate_workload(WorkloadSpec(
+        nodes=nodes, seed=seed, clusters=clusters, gateways=gateways,
+        **spec,
+    ))
+    config = conformance_configuration(system, 10)
+    if routed:
+        config.routes.update(greedy_routes(system, config.bus))
+        config.bus = fit_bus_to_routes(system, config.bus, config.routes)
+    routes = config.routes or None
+    offsets = static_schedule(
+        system, config.bus, routing=system.routing_for(routes)
+    ).offsets
+    return system, config, routes, offsets
 
 
 class TestKernelMatchesOracle:
@@ -154,6 +199,205 @@ class TestKernelMatchesOracle:
             kernel=kernel,
         )
         assert_rho_equal(first, second, tol=0.0, context="reuse")
+
+
+class TestKernelMatchesOracleOnTopologies:
+    """The compiled per-leg rows == the oracle on general topologies,
+    with ``hops`` and per-gateway transfer records compared, not
+    dropped."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_three_cluster_workloads_bit_identical(self, seed):
+        system, config, routes, offsets = topology_case(seed, 3, 2)
+        oracle = topology_oracle(
+            system, offsets, config.priorities, config.bus
+        )
+        kernel, _ = AnalysisContext(
+            system, config.priorities, config.bus
+        ).solve(offsets)
+        assert oracle.hops and set(kernel.hops) == set(oracle.hops)
+        assert_rho_equal(oracle, kernel, context=f"seed={seed}")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_topology_benchmark_shape_bit_identical(self, seed):
+        """The 4-cluster/4-gateway, 96-process benchmark shape."""
+        system, config, routes, offsets = topology_case(
+            seed, 4, 4, nodes=6, processes_per_node=16,
+            gateway_messages=10, graph_size_range=(16, 16),
+        )
+        oracle = topology_oracle(
+            system, offsets, config.priorities, config.bus
+        )
+        kernel, _ = AnalysisContext(
+            system, config.priorities, config.bus
+        ).solve(offsets)
+        assert_rho_equal(oracle, kernel, context=f"seed={seed}")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_parallel_gateway_routes_bit_identical(self, seed):
+        system, config, routes, offsets = topology_case(
+            seed, 3, 3, routed=True
+        )
+        assert routes, "expected greedy overrides with a parallel gateway"
+        oracle = topology_oracle(
+            system, offsets, config.priorities, config.bus, routes
+        )
+        kernel, _ = AnalysisContext(
+            system, config.priorities, config.bus, routes=routes
+        ).solve(offsets)
+        assert_rho_equal(oracle, kernel, context=f"seed={seed}")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_can_error_faults_bit_identical(self, seed):
+        system, config, routes, offsets = topology_case(
+            seed, 3, 3, routed=seed % 2 == 1
+        )
+        faults = FaultSpec(
+            can_error_interval=(1.2, 50.0)[seed % 2],
+            can_error_overhead=(0.1, 1.0)[seed % 2],
+        )
+        oracle = topology_oracle(
+            system, offsets, config.priorities, config.bus, routes,
+            faults=faults,
+        )
+        kernel, _ = AnalysisContext(
+            system, config.priorities, config.bus, faults=faults,
+            routes=routes,
+        ).solve(offsets)
+        assert_rho_equal(oracle, kernel, context=f"faults seed={seed}")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_multicluster_loop_bit_identical(self, seed):
+        """The Fig. 5 loop on the kernel == the oracle on its offsets."""
+        clusters = 3 + seed % 2
+        system, config, routes, _ = topology_case(
+            seed, clusters, clusters, nodes=2 * clusters - 2, routed=True
+        )
+        result = multi_cluster_scheduling(
+            system, config.bus, config.priorities, routes=routes
+        )
+        oracle = topology_oracle(
+            system, result.offsets, config.priorities, config.bus, routes
+        )
+        assert_rho_equal(oracle, result.rho, context=f"seed={seed}")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_route_move_and_swaps_equal_fresh_compile(self, seed):
+        """Incremental: a kernel re-targeted through a route move and
+        priority swaps == a kernel compiled from scratch at each step."""
+        system, config, routes, offsets = topology_case(seed, 3, 3)
+        kernel = AnalysisContext(system, config.priorities, config.bus)
+        kernel.solve(offsets)
+        current = config
+        moves = route_moves(system, current)
+        assert moves, "expected routing freedom with a parallel gateway"
+        current = moves[seed % len(moves)].apply(current)
+        current.bus = fit_bus_to_routes(system, current.bus, current.routes)
+        msgs = sorted(
+            current.priorities.message_priorities,
+            key=current.priorities.message_priority,
+        )
+        for step in range(4):
+            if step:
+                current = current.copy()
+                current.priorities.swap_messages(
+                    msgs[step - 1], msgs[step]
+                )
+            routes = current.routes or None
+            state = kernel.update(
+                current.priorities, current.bus, routes=routes
+            )
+            assert state == ("compiled" if step == 0 else "incremental")
+            incremental, _ = kernel.solve(offsets)
+            fresh, _ = AnalysisContext(
+                system, current.priorities, current.bus, routes=routes
+            ).solve(offsets)
+            assert_rho_equal(fresh, incremental, context=f"step={step}")
+            oracle = topology_oracle(
+                system, offsets, current.priorities, current.bus, routes
+            )
+            assert_rho_equal(oracle, incremental, context=f"step={step}")
+        # Dropping the overrides re-targets back to the default plan.
+        assert kernel.update(current.priorities, current.bus) == "compiled"
+        default, _ = kernel.solve(offsets)
+        assert_rho_equal(
+            topology_oracle(
+                system, offsets, current.priorities, current.bus
+            ),
+            default, context="back to default routes",
+        )
+
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 10_000),
+        clusters=st.integers(2, 4),
+        extra_gateways=st.integers(0, 2),
+        routed=st.booleans(),
+        error_interval=st.sampled_from([None, 3.0, 40.0]),
+    )
+    def test_random_topologies_differential(
+        self, seed, clusters, extra_gateways, routed, error_interval
+    ):
+        """Differential property: kernel == oracle on small random
+        topologies, route overrides and CAN error processes."""
+        gateways = clusters - 1 + extra_gateways
+        system, config, routes, offsets = topology_case(
+            seed, clusters, gateways, nodes=2 * clusters - 2,
+            processes_per_node=4, routed=routed,
+        )
+        faults = None
+        if error_interval is not None:
+            faults = FaultSpec(
+                can_error_interval=error_interval, can_error_overhead=0.5
+            )
+        if system.multi_topology or routes:
+            oracle = topology_oracle(
+                system, offsets, config.priorities, config.bus, routes,
+                faults=faults,
+            )
+        else:  # canonical records
+            oracle = oracle_rta(
+                system, offsets, config.priorities, config.bus,
+                faults=faults,
+            )
+        kernel, _ = AnalysisContext(
+            system, config.priorities, config.bus, faults=faults,
+            routes=routes,
+        ).solve(offsets)
+        assert_rho_equal(oracle, kernel, context="differential")
+
+
+class TestMaxAbsDeltaHops:
+    def _routed_rho(self):
+        system, config, routes, offsets = topology_case(0, 3, 2)
+        rho, _ = AnalysisContext(
+            system, config.priorities, config.bus
+        ).solve(offsets)
+        assert rho.hops
+        return rho
+
+    def test_mutated_hop_field_is_a_delta(self):
+        rho = self._routed_rho()
+        other = rho.copy()
+        name = sorted(other.hops)[0]
+        legs = list(other.hops[name])
+        legs[0] = replace(legs[0], queuing=legs[0].queuing + 0.5)
+        other.hops[name] = tuple(legs)
+        assert rho.max_abs_delta(rho.copy()) == 0.0
+        assert rho.max_abs_delta(other) == pytest.approx(0.5)
+
+    def test_structural_hop_mismatch_is_infinite(self):
+        rho = self._routed_rho()
+        missing = rho.copy()
+        del missing.hops[sorted(missing.hops)[0]]
+        assert rho.max_abs_delta(missing) == math.inf
+        short = rho.copy()
+        name = sorted(short.hops)[0]
+        short.hops[name] = short.hops[name][:-1]
+        assert rho.max_abs_delta(short) == math.inf
 
 
 class TestIncrementalRecompilation:

@@ -82,6 +82,23 @@ class TestSlots:
             assert len(recs) <= 4
             assert recs[0] >= 1
 
+    def test_single_capacity_candidate_is_the_floor(self, small_workload):
+        system = small_workload
+        for node in system.arch.ttp_slot_owners():
+            recs = recommended_capacities(system, node, max_candidates=1)
+            assert recs == [recommended_capacities(system, node)[0]]
+        with pytest.raises(ValueError, match="at least 1"):
+            recommended_capacities(system, node, max_candidates=0)
+
+    @pytest.mark.parametrize("clusters,gateways", [(2, 1), (3, 2)])
+    def test_os_with_one_capacity_candidate(self, clusters, gateways):
+        """Regression: one candidate per slot used to divide by zero."""
+        system = generate_workload(WorkloadSpec(
+            nodes=3, seed=2, clusters=clusters, gateways=gateways,
+        ))
+        osr = optimize_schedule(system, max_capacity_candidates=1)
+        assert osr.seeds
+
 
 class TestHeuristics:
     def test_os_not_worse_than_sf(self, small_workload):

@@ -43,6 +43,12 @@ one-leg case: CAN leg ``i`` is CAN message ``i``.
   interferers' jitters and residencies) did not move since its last
   sweep is skipped: it would return its previous result again.
 
+Packaging turns the id-indexed state into a named
+:class:`~repro.analysis.timing.ResponseTimes`.  The Fig. 5 loop needs
+the full record once per evaluation: it solves with ``package=False``
+(FIFO-leg records only) and packages its last solve with
+:meth:`AnalysisContext.package`.
+
 Warm starts come in two flavours:
 
 * *Within one solve*, each activity's busy-window equation is seeded
@@ -156,6 +162,13 @@ def _solve_row(
     operation (same expressions, same summation order) so results are
     bit-identical; ``start`` seeds the iteration anywhere in
     ``[base, lfp]`` without changing the result (see module docstring).
+
+    A locked interferer's ``k_min`` depends only on its jitter and
+    residency, which are fixed for the call, so the first sweep fixes
+    each entry's ``1 - k_min`` and later sweeps only recompute
+    ``k_max`` from ``J_i + w``.  Zero-hit terms are skipped — adding
+    ``+0.0`` is exact — and every other term is summed in row order
+    with the oracle's association.
     """
     if not row:
         return base
@@ -167,29 +180,43 @@ def _solve_row(
     floor = math.floor
     ceil = math.ceil
     w = start
-    for _ in range(_MAX_INNER_ITERATIONS):
-        total = base
-        for k, rel, period, cost, lck, anc in row:
-            if lck:
-                k_max = floor((own_jitter + w - rel) / period + 1e-9)
-                k_min = ceil(
-                    (-(jitters[k] + residencies[k]) - rel) / period - 1e-9
-                )
-                if anc and k_min < 0:
-                    k_min = 0
-                hits = k_max - k_min + 1
-                if hits < 0:
-                    hits = 0
-            else:
-                x = w + jitters[k] + epsilon
-                hits = ceil(x / period - 1e-12) if x > 0 else 0
+    total = base
+    reach = own_jitter + w
+    shifts = []
+    for k, rel, period, cost, lck, anc in row:
+        if lck:
+            k_min = ceil(
+                (-(jitters[k] + residencies[k]) - rel) / period - 1e-9
+            )
+            if anc and k_min < 0:
+                k_min = 0
+            shift = 1 - k_min
+            # hits = k_max - k_min + 1, clamped at zero below.
+            hits = floor((reach - rel) / period + 1e-9) + shift
+        else:
+            shift = 0
+            x = w + jitters[k] + epsilon
+            hits = ceil(x / period - 1e-12) if x > 0 else 0
+        shifts.append(shift)
+        if hits > 0:
             total += hits * cost
+    for _ in range(_MAX_INNER_ITERATIONS - 1):
         if total == w:
             return w
         if total > bound:
             return _INF
         w = total
-    return _INF
+        total = base
+        reach = own_jitter + w
+        for (k, rel, period, cost, lck, _anc), shift in zip(row, shifts):
+            if lck:
+                hits = floor((reach - rel) / period + 1e-9) + shift
+            else:
+                x = w + jitters[k] + epsilon
+                hits = ceil(x / period - 1e-12) if x > 0 else 0
+            if hits > 0:
+                total += hits * cost
+    return w if total == w else _INF
 
 
 #: Entry-jitter rule of a CAN leg: how its queueing jitter follows from
@@ -261,6 +288,7 @@ class AnalysisContext:
         self._proc_prio: List[int] = []
         self._leg_prio: List[int] = []
         self._bus: Optional[TTPBusConfig] = None
+        self._last_state: Optional[SolveState] = None
         self.update(priorities, bus, routes=routes)
 
     # -- static (per System and routing plan) compile -----------------------
@@ -551,6 +579,9 @@ class AnalysisContext:
         never rebuilds a row — the TDMA round only enters the analysis
         through the gateway slot scalars and the divergence horizon.
         """
+        # Packaging reads the compiled tables and bus scalars, so a
+        # re-target ends the packageable life of the last solve.
+        self._last_state = None
         key = _route_key(routes)
         if key != self._route_key:
             self._route_key = key
@@ -685,15 +716,12 @@ class AnalysisContext:
         fifo_off = self._fifo_off
         proc_off = self._proc_off
 
-        def _rel(off_j: float, off_i: float, period: float) -> float:
-            return (off_j - off_i) % period
-
         self._can_rows_z: List[List[tuple]] = []
         for i, row in enumerate(self._can_rows):
             off_i = leg_off[i]
             self._can_rows_z.append([
                 (k,
-                 _rel(leg_off[k], off_i, period) if lck else 0.0,
+                 (leg_off[k] - off_i) % period if lck else 0.0,
                  period, cost, lck, anc)
                 for k, _, period, cost, lck, anc in row
             ])
@@ -702,7 +730,7 @@ class AnalysisContext:
             off_i = fifo_off[i]
             self._ttp_rows_z.append([
                 (k,
-                 _rel(fifo_off[k], off_i, period) if lck else 0.0,
+                 (fifo_off[k] - off_i) % period if lck else 0.0,
                  period, cost, lck, anc)
                 for k, _, period, cost, lck, anc in row
             ])
@@ -711,7 +739,7 @@ class AnalysisContext:
             off_i = proc_off[i]
             self._proc_rows_z.append([
                 (k,
-                 _rel(proc_off[k], off_i, period) if lck else 0.0,
+                 (proc_off[k] - off_i) % period if lck else 0.0,
                  period, cost, lck, anc)
                 for k, _, period, cost, lck, anc in row
             ])
@@ -770,6 +798,7 @@ class AnalysisContext:
         self,
         offsets: OffsetTable,
         warm: Optional[SolveState] = None,
+        package: bool = True,
     ) -> Tuple[ResponseTimes, SolveState]:
         """Run the holistic fixed point for one offset table ``φ``.
 
@@ -778,6 +807,12 @@ class AnalysisContext:
         non-converged entries is ignored.  Returns the packaged
         :class:`ResponseTimes` and the raw :class:`SolveState` to pass
         back in next time.
+
+        ``package=False`` returns a :class:`ResponseTimes` holding only
+        the FIFO-leg (``ttp``) records — all the Fig. 5 loop reads
+        between iterations (the arrival-floor ratchet and the ET->TT
+        schedule constraints).  :meth:`package` builds the full record
+        of the latest solve afterwards, once per evaluation.
         """
         if _obs_state.enabled:
             import time as _time
@@ -786,18 +821,31 @@ class AnalysisContext:
             with _obs_trace.span(
                 "kernel.solve", warm=warm is not None
             ):
-                out = self._solve_impl(offsets, warm)
+                out = self._solve_impl(offsets, warm, package)
             _obs_metrics.observe(
                 "repro_kernel_solve_seconds",
                 _time.perf_counter() - started,
             )
             return out
-        return self._solve_impl(offsets, warm)
+        return self._solve_impl(offsets, warm, package)
+
+    def package(self, state: SolveState) -> ResponseTimes:
+        """The full :class:`ResponseTimes` of the latest solve.
+
+        Packaging reads the offsets that solve ran on, so ``state`` must
+        be the state the most recent :meth:`solve` returned.
+        """
+        if state is not self._last_state:
+            raise AnalysisError(
+                "only the most recent solve of a kernel can be packaged"
+            )
+        return self._package(state)
 
     def _solve_impl(
         self,
         offsets: OffsetTable,
-        warm: Optional[SolveState] = None,
+        warm: Optional[SolveState],
+        package: bool,
     ) -> Tuple[ResponseTimes, SolveState]:
         self._refresh_offsets(offsets)
         self.stats.solves += 1
@@ -1067,7 +1115,12 @@ class AnalysisContext:
             msg_jitter=mj, msg_queue=mq, msg_resp=mr,
             ttp_jitter=tj, ttp_queue=tq, ttp_ahead=ta,
         )
-        return self._package(state), state
+        self._last_state = state
+        if package:
+            return self._package(state), state
+        rho = ResponseTimes()
+        self._package_fifo(state, rho.ttp)
+        return rho, state
 
     # -- packaging -----------------------------------------------------------
 
@@ -1134,26 +1187,13 @@ class AnalysisContext:
                 converged=converged,
             )
 
-        def fifo_record(f: int) -> ActivityTiming:
-            converged = (
-                state.ttp_queue[f] != _INF and state.ttp_jitter[f] != _INF
-            )
-            return ActivityTiming(
-                offset=self._fifo_off[f],
-                jitter=state.ttp_jitter[f] if converged else _INF,
-                queuing=state.ttp_queue[f] if converged else _INF,
-                duration=self._gw_slot_time[self._fifo_gw[f]],
-                converged=converged,
-            )
-
         for i, m in enumerate(self.can_msgs):
             result.can[m] = can_record(self._msg_leg[i])
-        for f, m in enumerate(self.fifo_msgs):
-            result.ttp[m] = fifo_record(f)
+        fifo = self._package_fifo(state, result.ttp)
         if self._leg_records:
             for m, hops in self._hop_legs:
                 result.hops[m] = tuple(
-                    fifo_record(k) if is_fifo else can_record(k)
+                    fifo[k] if is_fifo else can_record(k)
                     for is_fifo, k in hops
                 )
         route = system.route
@@ -1164,3 +1204,24 @@ class AnalysisContext:
                     msg.name, 0.0
                 )
         return result
+
+    def _package_fifo(
+        self, state: SolveState, ttp: Dict[str, ActivityTiming]
+    ) -> List[ActivityTiming]:
+        """Fill ``ttp[m]`` with every FIFO leg's record; returns the
+        records by FIFO-leg id."""
+        records = []
+        for f, m in enumerate(self.fifo_msgs):
+            converged = (
+                state.ttp_queue[f] != _INF and state.ttp_jitter[f] != _INF
+            )
+            record = ActivityTiming(
+                offset=self._fifo_off[f],
+                jitter=state.ttp_jitter[f] if converged else _INF,
+                queuing=state.ttp_queue[f] if converged else _INF,
+                duration=self._gw_slot_time[self._fifo_gw[f]],
+                converged=converged,
+            )
+            ttp[m] = record
+            records.append(record)
+        return records

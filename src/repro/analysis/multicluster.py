@@ -14,6 +14,15 @@ Termination is guaranteed when processor and bus loads are below 100% and
 deadlines do not exceed periods (section 4); an iteration cap converts
 pathological cases into a non-converged result instead of a hang.
 
+Step 3 reads ``ρ`` only through the ratcheted ET->TT arrival floors (see
+:func:`multi_cluster_scheduling`), so a schedule is a pure function of
+those floors.  When a ratchet leaves them as they were for the current
+schedule, step 3 would rebuild it identically and step 4 would see an
+unchanged ``φ``: the loop converges without calling the scheduler.
+Intermediate analysis passes package only the FIFO-leg (``ttp``)
+records the ratchet reads; the full ``ρ`` is packaged once, for the
+pass the loop ends on.
+
 The analysis runs on the compiled kernel
 (:class:`repro.analysis.kernel.AnalysisContext`): the interference
 structure is compiled once per call (or reused across calls when the
@@ -119,12 +128,22 @@ def multi_cluster_scheduling(
         system, bus, rho=None, tt_delays=tt_delays, routing=routing
     )
     offsets = schedule.offsets
-    rho, state = kernel.solve(offsets)
+    rho, state = kernel.solve(offsets, package=False)
     iterations = 1
     converged = False
     floors: dict = {}
+    # The floors the current schedule was built from.  A schedule reads
+    # ``rho`` only through ``et_to_tt_constraint``, which after the
+    # ratchet equals ``floors.get(m, 0.0)``: the schedule is a pure
+    # function of the ratcheted floors, and the first one (built
+    # without ETC influence) is the all-zero case.
+    built_from: dict = {}
     while iterations <= max_iterations:
         ratchet_arrival_floors(floors, rho)
+        if floors == built_from:
+            # The next schedule would equal the current one (delta 0).
+            converged = True
+            break
         new_schedule = static_schedule(
             system,
             bus,
@@ -139,10 +158,14 @@ def multi_cluster_scheduling(
             break
         schedule = new_schedule
         offsets = new_schedule.offsets
+        built_from = dict(floors)
         rho, state = kernel.solve(
-            offsets, warm=state if warm_start else None
+            offsets, warm=state if warm_start else None, package=False
         )
         iterations += 1
+    # Intermediate solves packaged only their FIFO-leg records; the
+    # full ρ is built once, for the solve the loop ended on.
+    rho = kernel.package(state)
     return MultiClusterResult(
         offsets=offsets,
         rho=rho,

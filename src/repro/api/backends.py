@@ -125,7 +125,10 @@ class AnalysisBackend(EvaluationBackend):
                 # overrides re-target the shared kernel (see
                 # AnalysisContext.update).
                 kernel = None
-            validate_configuration(run_system.app, run_system.arch, config)
+            validate_configuration(
+                run_system.app, run_system.arch, config,
+                payloads=run_system.slot_payloads(),
+            )
             result = multi_cluster_scheduling(
                 run_system,
                 config.bus,

@@ -21,6 +21,7 @@ serializable facts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Any, Dict, Optional
 
 from ..analysis.buffers import BufferReport
@@ -49,7 +50,7 @@ def timing_table(rho: ResponseTimes) -> Dict[str, Dict[str, Any]]:
     """
 
     def _num(value: float) -> Optional[float]:
-        return value if value == value and abs(value) != float("inf") else None
+        return value if isfinite(value) else None
 
     rows: Dict[str, Dict[str, Any]] = {}
     for kind, records in (
@@ -58,6 +59,7 @@ def timing_table(rho: ResponseTimes) -> Dict[str, Dict[str, Any]]:
         ("ttp", rho.ttp),
     ):
         for name, t in records.items():
+            response = t.response
             rows[f"{kind}:{name}"] = {
                 "kind": kind,
                 "name": name,
@@ -65,8 +67,9 @@ def timing_table(rho: ResponseTimes) -> Dict[str, Dict[str, Any]]:
                 "jitter": _num(t.jitter),
                 "queuing": _num(t.queuing),
                 "duration": _num(t.duration),
-                "response": _num(t.response),
-                "worst_end": _num(t.worst_end),
+                "response": _num(response),
+                # ActivityTiming.worst_end, without recomputing r.
+                "worst_end": _num(t.offset + response),
                 "converged": t.converged,
             }
     for name, arrival in rho.tt_arrival.items():

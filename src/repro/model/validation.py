@@ -8,7 +8,7 @@ missing a slot for a transmitting node, and incomplete priority tables.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, Optional
 
 from ..exceptions import ConfigurationError, MappingError
 from .application import Application
@@ -39,7 +39,10 @@ def validate_system(app: Application, arch: Architecture) -> None:
 
 
 def validate_configuration(
-    app: Application, arch: Architecture, config: SystemConfiguration
+    app: Application,
+    arch: Architecture,
+    config: SystemConfiguration,
+    payloads: Optional[Dict[str, int]] = None,
 ) -> None:
     """Check a configuration ``ψ`` is complete for the given system.
 
@@ -49,6 +52,10 @@ def validate_configuration(
       :meth:`PriorityAssignment.validate`);
     * slot capacities can carry the largest TT->TT / ET->TT message sent by
       their owner.
+
+    ``payloads`` is the table :func:`largest_payload_per_sender` returns
+    for ``(app, arch)``; pass the cached ``System.slot_payloads()`` to
+    skip re-deriving it on every evaluation.
     """
     expected = set(arch.ttp_slot_owners())
     actual = set(config.bus.nodes())
@@ -60,7 +67,9 @@ def validate_configuration(
             f"missing={missing}, unexpected={extra}"
         )
     config.priorities.validate(app, arch)
-    _check_slot_capacities(app, arch, config)
+    if payloads is None:
+        payloads = largest_payload_per_sender(app, arch)
+    _check_slot_capacities(config, payloads)
     _check_route_slot_capacities(app, arch, config)
 
 
@@ -117,8 +126,13 @@ def _relaying_gateways(arch: Architecture, src_node: str, dst_node: str):
     return relays
 
 
-def _largest_payload_per_sender(app: Application, arch: Architecture):
-    """Largest message each TTP-transmitting node must fit in its slot."""
+def largest_payload_per_sender(
+    app: Application, arch: Architecture
+) -> Dict[str, int]:
+    """Largest message each TTP-transmitting node must fit in its slot.
+
+    Depends on the System alone; ``System.slot_payloads()`` caches it.
+    """
     largest = {}
     for msg in app.all_messages():
         route = arch.route_of(app, msg)
@@ -143,9 +157,9 @@ def _largest_payload_per_sender(app: Application, arch: Architecture):
 
 
 def _check_slot_capacities(
-    app: Application, arch: Architecture, config: SystemConfiguration
+    config: SystemConfiguration, payloads: Dict[str, int]
 ) -> None:
-    for node, needed in _largest_payload_per_sender(app, arch).items():
+    for node, needed in payloads.items():
         slot = config.bus.slot_of(node)
         if slot.capacity < needed:
             raise ConfigurationError(
@@ -154,10 +168,18 @@ def _check_slot_capacities(
             )
 
 
-def minimum_slot_capacity(app: Application, arch: Architecture, node: str) -> int:
+def minimum_slot_capacity(
+    app: Application,
+    arch: Architecture,
+    node: str,
+    payloads: Optional[Dict[str, int]] = None,
+) -> int:
     """Smallest legal slot capacity for ``node`` (``size_smallest`` of Fig. 8).
 
     Equal to the size of the largest message the node transmits on the TTP
-    bus, or 1 byte if it transmits nothing.
+    bus, or 1 byte if it transmits nothing.  ``payloads`` as for
+    :func:`validate_configuration`.
     """
-    return max(1, _largest_payload_per_sender(app, arch).get(node, 1))
+    if payloads is None:
+        payloads = largest_payload_per_sender(app, arch)
+    return max(1, payloads.get(node, 1))

@@ -65,7 +65,9 @@ def recommended_capacities(
             f"max_candidates must be at least 1, got {max_candidates}"
         )
     sizes = sorted(messages_sent_over_ttp(system, node), reverse=True)
-    floor = minimum_slot_capacity(system.app, system.arch, node)
+    floor = minimum_slot_capacity(
+        system.app, system.arch, node, payloads=system.slot_payloads()
+    )
     candidates = {floor}
     running = 0
     for size in sizes:
@@ -87,7 +89,9 @@ def recommended_capacities(
 def default_capacities(system: System) -> Dict[str, int]:
     """Minimal legal capacity per TTP transmitter (the SF/initial choice)."""
     return {
-        node: minimum_slot_capacity(system.app, system.arch, node)
+        node: minimum_slot_capacity(
+            system.app, system.arch, node, payloads=system.slot_payloads()
+        )
         for node in system.arch.ttp_slot_owners()
     }
 

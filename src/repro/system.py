@@ -21,7 +21,7 @@ from .buses.ttp import TTPBusSpec
 from .exceptions import ModelError
 from .model.application import Application, Message
 from .model.architecture import Architecture, MessageRoute
-from .model.validation import validate_system
+from .model.validation import largest_payload_per_sender, validate_system
 
 __all__ = ["System"]
 
@@ -141,6 +141,8 @@ class System:
             dst = topo.cluster_of_node(app.process(msg.dst).node)
             self._msg_clusters[msg.name] = (src, dst)
         self._default_routing = None
+        self._schedule_plan = None
+        self._slot_payloads: Optional[Dict[str, int]] = None
 
     # -- topology -----------------------------------------------------------
 
@@ -185,6 +187,26 @@ class System:
 
             self._default_routing = RoutingPlan(self)
         return self._default_routing
+
+    def slot_payloads(self) -> Dict[str, int]:
+        """Largest message each TTP transmitter must fit in its slot
+        (node -> bytes; cached, do not mutate) — the table behind
+        :func:`repro.model.validation.validate_configuration` and
+        :func:`repro.model.validation.minimum_slot_capacity`."""
+        if self._slot_payloads is None:
+            self._slot_payloads = largest_payload_per_sender(
+                self.app, self.arch
+            )
+        return self._slot_payloads
+
+    def schedule_plan(self):
+        """The cached :class:`~repro.schedule.list_scheduler.SchedulePlan`
+        (the call-invariant half of the static list scheduler)."""
+        if self._schedule_plan is None:
+            from .schedule.list_scheduler import SchedulePlan
+
+            self._schedule_plan = SchedulePlan(self)
+        return self._schedule_plan
 
     def routing_for(self, overrides=None):
         """A routing plan for a configuration's ``routes`` overrides.
